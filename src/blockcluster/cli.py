@@ -13,8 +13,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import evaluation, matrixio, model, optimizer, simharness
 from .criterion import RATE_KINDS
 from .errors import DomainError, PartitionError
@@ -38,24 +36,8 @@ def _read_matrix(path, fmt):
     return matrixio.read_matrix_csv(path)
 
 
-def _check_rate_support(X, rate: str) -> None:
-    if rate == "bernoulli":
-        bad = np.argwhere((X.values < 0) | (X.values > 1))
-    elif rate == "poisson":
-        bad = np.argwhere(X.values < 0)
-    else:
-        return
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"entry {X.values[i, j]} at row {i}, column {j} lies outside the "
-            f"{rate} rate domain"
-        )
-
-
 def cmd_fit(args) -> int:
     X = _read_matrix(args.input, args.format)
-    _check_rate_support(X, args.rate)
     config = optimizer.FitConfig(
         K=args.K, L=args.L, rate=args.rate, restarts=args.restarts,
         max_sweeps=args.max_sweeps, min_frac=args.min_frac,

@@ -50,16 +50,20 @@ class RateFunction:
             self.kind
         ]
 
+    def outside(self, x) -> np.ndarray:
+        """Mask of the values of x that lie outside the domain."""
+        x = np.asarray(x, dtype=np.float64)
+        if self.kind == "bernoulli":
+            return (x < 0) | (x > 1)
+        if self.kind == "poisson":
+            return x < 0
+        return np.zeros(x.shape, dtype=bool)
+
     def check_domain(self, mu) -> None:
         mu = np.asarray(mu, dtype=np.float64)
-        if self.kind == "bernoulli":
-            bad = (mu < 0) | (mu > 1)
-        elif self.kind == "poisson":
-            bad = mu < 0
-        else:
-            return
+        bad = self.outside(mu)
         if np.any(bad):
-            offending = float(np.asarray(mu)[bad][0]) if mu.ndim else float(mu)
+            offending = float(mu[bad][0]) if mu.ndim else float(mu)
             raise DomainError(
                 f"mean {offending} outside {self.kind} rate domain {self.domain}"
             )
@@ -68,19 +72,24 @@ class RateFunction:
         """f(mu), elementwise; raises DomainError outside the domain."""
         mu = np.asarray(mu, dtype=np.float64)
         self.check_domain(mu)
+        out = self.unchecked(mu)
+        return out if out.ndim else float(out)
+
+    def unchecked(self, mu: np.ndarray) -> np.ndarray:
+        """f(mu) for a float array, without the domain check.  A mean that
+        rounding pushes just past a boundary takes the boundary value."""
         if self.kind == "gaussian":
-            out = 0.5 * mu * mu
-        elif self.kind == "poisson":
-            out = np.zeros_like(mu)
+            return 0.5 * mu * mu
+        out = np.zeros_like(mu)
+        if self.kind == "poisson":
             pos = mu > 0
             mp = mu[pos]
             out[pos] = mp * np.log(mp) - mp
         else:
-            out = np.zeros_like(mu)
             inner = (mu > 0) & (mu < 1)
             mi = mu[inner]
             out[inner] = mi * np.log(mi) + (1.0 - mi) * np.log1p(-mi)
-        return out if out.ndim else float(out)
+        return out
 
     __call__ = evaluate
 
@@ -132,79 +141,84 @@ def block_stats(X: DataMatrix, labels: LabelAssignment) -> BlockStats:
     )
 
 
+def check_support(X: DataMatrix, f: RateFunction) -> None:
+    """Raise DomainError naming the first entry of X outside f's domain.
+
+    Every block mean is an average of entries and each domain is an
+    interval, so data inside the domain keep every mean a fit computes
+    inside it; fitting checks the data once, here, and the terms below do
+    no check of their own.
+    """
+    bad = np.argwhere(f.outside(X.values))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(
+            f"entry {X.values[i, j]} at row {i}, column {j} lies outside the "
+            f"{f.kind} rate domain"
+        )
+
+
+def cell_terms(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
+               f: RateFunction) -> np.ndarray:
+    """N * f(S / N) for every cell of a stack of class lines.
+
+    S[..., c, :] holds the sums of class c against the opposite classes,
+    counts[c] its size and other_counts the opposite class sizes, so that
+    N[c, l] = counts[c] * other_counts[l].  The same kernel serves rows and,
+    through transposed views, columns.  No domain check.
+    """
+    N = counts[..., None] * other_counts
+    return N * f.unchecked(S / N)
+
+
 def criterion_value(stats: BlockStats, f: RateFunction) -> float:
     """F = sum_kl N_kl * f(S_kl / N_kl).  Requires a nontrivial partition."""
     if stats.row_counts.min() == 0 or stats.col_counts.min() == 0:
         raise PartitionError("criterion undefined: some row or column class is empty")
-    N = stats.N
-    terms = N * f.evaluate(stats.S / N)
+    terms = cell_terms(stats.S, stats.row_counts, stats.col_counts, f)
     return math.fsum(terms.ravel().tolist())
 
 
-def _axis_term(S_line: np.ndarray, count: int, other_counts: np.ndarray,
-               f: RateFunction) -> float:
-    """Criterion contribution of one row class (or column class) line."""
-    if count == 0:
-        return 0.0
-    N = count * other_counts
-    return math.fsum((N * f.evaluate(S_line / N)).tolist())
+def line_move(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
+              a: int, k: int, line: np.ndarray, before: np.ndarray,
+              f: RateFunction):
+    """One item, with sums ``line`` against the opposite classes, moves from
+    class a to class k of the axis with class lines S and sizes counts.
 
-
-def line_sums(X: DataMatrix, labels: LabelAssignment, axis: str, index: int) -> np.ndarray:
-    """Sums of one row against column classes (axis='row'), or vice versa."""
-    if axis == "row":
-        return np.bincount(
-            labels.col_labels, weights=X.values[index], minlength=labels.L
-        )
-    if axis == "col":
-        return np.bincount(
-            labels.row_labels, weights=X.values[:, index], minlength=labels.K
-        )
-    raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    ``before`` holds the current cell terms of lines a and k.  Returns the
+    criterion change and the cell terms of the two lines after the move.
+    ``move_delta`` and the sweep's apply step both go through here.
+    """
+    after = cell_terms(
+        np.stack([S[a] - line, S[k] + line]),
+        np.array([counts[a] - 1, counts[k] + 1]), other_counts, f,
+    )
+    old, new = before.sum(axis=1), after.sum(axis=1)
+    return (new[0] + new[1]) - (old[0] + old[1]), after
 
 
 def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
                axis: str, index: int, new_label: int, f: RateFunction) -> float:
     """F(after) - F(before) for a single-label move, touching only the two
-    affected classes."""
+    affected classes.  No domain check (see ``check_support``)."""
     if axis == "row":
-        old = labels.row_labels[index]
-        if new_label == old:
-            return 0.0
-        if new_label < 0 or new_label >= labels.K:
-            raise ValueError("new_label out of range")
-        if stats.row_counts[old] <= 1:
-            raise PartitionError(
-                f"moving row {index} would empty row class {old}"
-            )
-        r = line_sums(X, labels, "row", index)
-        cnt, other = stats.row_counts, stats.col_counts
-        S_old, S_new = stats.S[old], stats.S[new_label]
-        before = _axis_term(S_old, cnt[old], other, f) + _axis_term(
-            S_new, cnt[new_label], other, f
-        )
-        after = _axis_term(S_old - r, cnt[old] - 1, other, f) + _axis_term(
-            S_new + r, cnt[new_label] + 1, other, f
-        )
-        return after - before
-    if axis == "col":
-        old = labels.col_labels[index]
-        if new_label == old:
-            return 0.0
-        if new_label < 0 or new_label >= labels.L:
-            raise ValueError("new_label out of range")
-        if stats.col_counts[old] <= 1:
-            raise PartitionError(
-                f"moving column {index} would empty column class {old}"
-            )
-        c = line_sums(X, labels, "col", index)
-        cnt, other = stats.col_counts, stats.row_counts
-        S_old, S_new = stats.S[:, old], stats.S[:, new_label]
-        before = _axis_term(S_old, cnt[old], other, f) + _axis_term(
-            S_new, cnt[new_label], other, f
-        )
-        after = _axis_term(S_old - c, cnt[old] - 1, other, f) + _axis_term(
-            S_new + c, cnt[new_label] + 1, other, f
-        )
-        return after - before
-    raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+        data, current, opposite = X.values, labels.row_labels, labels.col_labels
+        S, counts, other = stats.S, stats.row_counts, stats.col_counts
+    elif axis == "col":
+        data, current, opposite = X.values.T, labels.col_labels, labels.row_labels
+        S, counts, other = stats.S.T, stats.col_counts, stats.row_counts
+    else:
+        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    name = "row" if axis == "row" else "column"
+    old = current[index]
+    if new_label == old:
+        return 0.0
+    if new_label < 0 or new_label >= counts.size:
+        raise ValueError("new_label out of range")
+    if counts[old] <= 1:
+        raise PartitionError(f"moving {name} {index} would empty {name} class {old}")
+    pair = [old, new_label]
+    before = cell_terms(S[pair], counts[pair], other, f)
+    line = np.bincount(opposite, weights=data[index], minlength=other.size)
+    delta, _ = line_move(S, counts, other, old, new_label, line, before, f)
+    return float(delta)

@@ -16,7 +16,9 @@ import numpy as np
 
 from .criterion import RateFunction, block_stats
 from .errors import DomainError
-from .model import BlockModelSpec, DataMatrix, LabelAssignment, derived_rng
+from .model import (
+    BlockModelSpec, DataMatrix, LabelAssignment, derived_rng, identifiable,
+)
 
 #: largest class count for which exhaustive permutation matching is used
 MAX_PERM_CLASSES = 8
@@ -118,19 +120,6 @@ def population_criterion(C: np.ndarray, D: np.ndarray, M0: np.ndarray,
     return math.fsum(terms.ravel().tolist())
 
 
-def _identifiable(M0: np.ndarray) -> bool:
-    K, L = M0.shape
-    for a in range(K):
-        for a2 in range(a + 1, K):
-            if np.array_equal(M0[a], M0[a2]):
-                return False
-    for b in range(L):
-        for b2 in range(b + 1, L):
-            if np.array_equal(M0[:, b], M0[:, b2]):
-                return False
-    return True
-
-
 def population_gap_check(M0: np.ndarray, f: RateFunction, p: np.ndarray,
                          q: np.ndarray, trials: int, seed: int) -> dict:
     """Sample random confusion pairs outside the near-diagonal neighborhood
@@ -143,7 +132,7 @@ def population_gap_check(M0: np.ndarray, f: RateFunction, p: np.ndarray,
     M0 = np.asarray(M0, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if not _identifiable(M0):
+    if not identifiable(M0):
         raise ValueError("mean matrix has two identical rows or columns")
     K, L = M0.shape
     rng = derived_rng(seed)

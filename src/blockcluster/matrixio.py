@@ -8,6 +8,7 @@ little-endian.  Labels are 0-based integers, one per line.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -51,6 +52,12 @@ def read_matrix_binary(path) -> DataMatrix:
         magic, m, n = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if 8 * m * n > left:
+            raise ValueError(
+                f"{path}: header declares {m} x {n} values, but only {left} "
+                f"bytes of data follow"
+            )
         data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
         if data.size != m * n:
             raise ValueError(f"{path}: truncated data section")

@@ -115,6 +115,20 @@ class LabelAssignment:
         return np.bincount(self.col_labels, minlength=self.L)
 
 
+def identifiable(M: np.ndarray) -> bool:
+    """True if no two rows of M are equal and no two columns are equal."""
+    K, L = M.shape
+    for a in range(K):
+        for a2 in range(a + 1, K):
+            if np.array_equal(M[a], M[a2]):
+                return False
+    for b in range(L):
+        for b2 in range(b + 1, L):
+            if np.array_equal(M[:, b], M[:, b2]):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class BlockModelSpec:
     """Ground-truth generator parameters.
@@ -178,16 +192,7 @@ class BlockModelSpec:
 
     def is_identifiable(self) -> bool:
         """True if no two rows of M are equal and no two columns are equal."""
-        M = self.M
-        for a in range(self.K):
-            for a2 in range(a + 1, self.K):
-                if np.array_equal(M[a], M[a2]):
-                    return False
-        for b in range(self.L):
-            for b2 in range(b + 1, self.L):
-                if np.array_equal(M[:, b], M[:, b2]):
-                    return False
-        return True
+        return identifiable(self.M)
 
 
 def design_spec(design: str, b: float, n: int) -> BlockModelSpec:

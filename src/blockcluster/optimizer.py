@@ -11,9 +11,15 @@ A sweep follows the Kernighan-Lin discipline:
    (possibly the empty prefix).
 
 Each item moves at most once per sweep, so a sweep never decreases the
-criterion.  The running criterion is maintained incrementally; the state is
-rebuilt from scratch at the start of every sweep, which cancels any
-accumulated floating-point drift.
+criterion.  One engine serves both axes: a column move is a row move on the
+transpose, so the column side of the state holds transposed views of the
+row side's arrays.  Both steps evaluate rate terms through
+``criterion.cell_terms``, and step 2 goes through ``criterion.line_move``,
+as ``move_delta`` does; the cell terms are cached, so a move recomputes only
+its two class lines.  The state is rebuilt from scratch at the start of
+every sweep, and the kept labeling's criterion is recomputed at its end,
+which cancels any accumulated floating-point drift.  The data are checked
+against the rate domain once, when ``fit`` or ``kl_sweep`` is entered.
 """
 
 from __future__ import annotations
@@ -26,8 +32,12 @@ import numpy as np
 from .criterion import (
     TIE_TOL,
     RateFunction,
+    _one_hot,
     block_stats,
+    cell_terms,
+    check_support,
     criterion_value,
+    line_move,
     rate_function,
 )
 from .errors import PartitionError
@@ -147,197 +157,123 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int, iters: int = 50,
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
 
 
-class _SweepState:
-    """Incremental bookkeeping for one sweep: bicluster sums, class counts,
-    and row/column line sums against the opposite partition."""
+@dataclass(eq=False)
+class _Side:
+    """One axis of the sweep state.  The row side moves rows between row
+    classes; the column side is the row side of the transpose and holds
+    transposed views of the same arrays, so every update through one side
+    is seen by the other.
 
-    def __init__(self, X: DataMatrix, labels: LabelAssignment, f: RateFunction,
-                 min_frac: float):
-        self.X = X.values
-        self.f = f
-        self.K, self.L = labels.K, labels.L
-        self.g = labels.row_labels.copy()
-        self.h = labels.col_labels.copy()
-        self.rcnt = labels.row_counts()
-        self.ccnt = labels.col_counts()
-        self.min_rows = _min_count(min_frac, labels.m)
-        self.min_cols = _min_count(min_frac, labels.n)
-        if self.rcnt.min() < self.min_rows or self.ccnt.min() < self.min_cols:
-            raise PartitionError(
-                "input labeling violates the minimum class-size constraint"
-            )
-        H = np.zeros((labels.n, self.L))
-        H[np.arange(labels.n), self.h] = 1.0
-        self.R = self.X @ H  # (m, L) row sums by column class
-        G = np.zeros((labels.m, self.K))
-        G[np.arange(labels.m), self.g] = 1.0
-        self.C = G.T @ self.X  # (K, n) column sums by row class
-        self.S = np.zeros((self.K, self.L))
-        np.add.at(self.S, self.g, self.R)
+    ``lines[i]`` holds item i's sums against the opposite classes, ``cross``
+    the opposite side's lines transposed (a move shifts the item's data
+    between two of its rows), ``S`` the bicluster sums with this axis's
+    classes first, and ``cells`` the cached cell terms of ``S``.
+    """
 
-    def _class_terms(self, lines: np.ndarray, count: int,
-                     other_counts: np.ndarray) -> np.ndarray:
-        """Criterion contribution of one class with the given line sums;
-        lines has shape (t, len(other_counts))."""
-        if count == 0:
-            return np.zeros(lines.shape[0])
-        N = (count * other_counts)[None, :]
-        return (N * self.f.evaluate(lines / N)).sum(axis=1)
+    X: np.ndarray
+    labels: np.ndarray
+    lines: np.ndarray
+    cross: np.ndarray
+    S: np.ndarray
+    counts: np.ndarray
+    other_counts: np.ndarray
+    cells: np.ndarray
+    min_count: int
+    f: RateFunction
 
-    def best_row_moves(self):
-        """(best_label, delta) per row under the frozen labeling; staying
-        put wins ties within TIE_TOL, then the smallest label index."""
-        m = self.g.size
-        d = np.full((m, self.K), -np.inf)
-        for a in range(self.K):
-            rows = np.where(self.g == a)[0]
-            if rows.size == 0:
-                continue
-            d[rows, a] = 0.0
-            if self.rcnt[a] - 1 < self.min_rows:
-                continue
-            Ra = self.R[rows]
-            base_a = self._class_terms(self.S[a][None, :], self.rcnt[a], self.ccnt)[0]
-            term_a = self._class_terms(self.S[a][None, :] - Ra, self.rcnt[a] - 1, self.ccnt)
-            for k in range(self.K):
-                if k == a:
-                    continue
-                base_k = self._class_terms(
-                    self.S[k][None, :], self.rcnt[k], self.ccnt
-                )[0]
-                term_k = self._class_terms(
-                    self.S[k][None, :] + Ra, self.rcnt[k] + 1, self.ccnt
-                )
-                d[rows, k] = term_a + term_k - base_a - base_k
-        return self._pick(d, self.g)
-
-    def best_col_moves(self):
-        n = self.h.size
-        d = np.full((n, self.L), -np.inf)
-        for b in range(self.L):
-            cols = np.where(self.h == b)[0]
-            if cols.size == 0:
-                continue
-            d[cols, b] = 0.0
-            if self.ccnt[b] - 1 < self.min_cols:
-                continue
-            Cb = self.C[:, cols].T  # (nb, K)
-            base_b = self._class_terms(self.S[:, b][None, :], self.ccnt[b], self.rcnt)[0]
-            term_b = self._class_terms(self.S[:, b][None, :] - Cb, self.ccnt[b] - 1, self.rcnt)
-            for l in range(self.L):
-                if l == b:
-                    continue
-                base_l = self._class_terms(
-                    self.S[:, l][None, :], self.ccnt[l], self.rcnt
-                )[0]
-                term_l = self._class_terms(
-                    self.S[:, l][None, :] + Cb, self.ccnt[l] + 1, self.rcnt
-                )
-                d[cols, l] = term_b + term_l - base_b - base_l
-        return self._pick(d, self.h)
-
-    @staticmethod
-    def _pick(d: np.ndarray, current: np.ndarray):
-        idx = np.arange(d.shape[0])
+    def best_moves(self):
+        """(target, delta) per item under the frozen state; staying put wins
+        ties within TIE_TOL, then the smallest class index."""
+        target, delta = self.labels.copy(), np.zeros(self.labels.size)
+        movers = np.flatnonzero(self.counts[self.labels] > self.min_count)
+        a, lines = self.labels[movers], self.lines[movers]
+        # each line summed in the order the apply step sums it, whatever
+        # the layout of this side's view
+        base = np.ascontiguousarray(self.cells).sum(axis=1)
+        leave = cell_terms(self.S[a] - lines, self.counts[a] - 1,
+                           self.other_counts, self.f).sum(axis=1)
+        join = cell_terms(self.S + lines[:, None, :], self.counts + 1,
+                          self.other_counts, self.f).sum(axis=2)
+        d = leave[:, None] + join - base[a][:, None] - base[None, :]
+        idx = np.arange(movers.size)
+        d[idx, a] = 0.0
         best = d.max(axis=1)
         near = d >= (best - TIE_TOL)[:, None]
-        choice = near.argmax(axis=1)
-        keep = near[idx, current]
-        label = np.where(keep, current, choice)
-        delta = np.where(label == current, 0.0, best)
-        return label, delta
+        label = np.where(near[idx, a], a, near.argmax(axis=1))
+        target[movers] = label
+        delta[movers] = np.where(label == a, 0.0, best)
+        return target, delta
 
-    def row_move_legal(self, i: int) -> bool:
-        return self.rcnt[self.g[i]] - 1 >= self.min_rows
+    def legal(self, i: int) -> bool:
+        return self.counts[self.labels[i]] > self.min_count
 
-    def col_move_legal(self, j: int) -> bool:
-        return self.ccnt[self.h[j]] - 1 >= self.min_cols
+    def apply(self, i: int, k: int) -> float:
+        """Move item i to class k; returns the exact criterion delta."""
+        a, line = self.labels[i], self.lines[i]
+        delta, after = line_move(self.S, self.counts, self.other_counts, a, k,
+                                 line, self.cells[[a, k]], self.f)
+        self.S[a] -= line
+        self.S[k] += line
+        self.counts[a] -= 1
+        self.counts[k] += 1
+        self.cross[a] -= self.X[i]
+        self.cross[k] += self.X[i]
+        self.cells[[a, k]] = after
+        self.labels[i] = k
+        return delta
 
-    def apply_row_move(self, i: int, k: int) -> float:
-        """Move row i to class k; returns the exact criterion delta."""
-        a = self.g[i]
-        r = self.R[i]
-        before = (
-            self._class_terms(self.S[a][None, :], self.rcnt[a], self.ccnt)[0]
-            + self._class_terms(self.S[k][None, :], self.rcnt[k], self.ccnt)[0]
-        )
-        after = (
-            self._class_terms(self.S[a][None, :] - r, self.rcnt[a] - 1, self.ccnt)[0]
-            + self._class_terms(self.S[k][None, :] + r, self.rcnt[k] + 1, self.ccnt)[0]
-        )
-        self.S[a] -= r
-        self.S[k] += r
-        self.rcnt[a] -= 1
-        self.rcnt[k] += 1
-        self.C[a] -= self.X[i]
-        self.C[k] += self.X[i]
-        self.g[i] = k
-        return after - before
 
-    def apply_col_move(self, j: int, l: int) -> float:
-        b = self.h[j]
-        c = self.C[:, j]
-        before = (
-            self._class_terms(self.S[:, b][None, :], self.ccnt[b], self.rcnt)[0]
-            + self._class_terms(self.S[:, l][None, :], self.ccnt[l], self.rcnt)[0]
+def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
+           min_frac: float):
+    """The row and column sides of a state rebuilt from scratch, and F."""
+    g, h = labels.row_labels.copy(), labels.col_labels.copy()
+    rcnt, ccnt = labels.row_counts(), labels.col_counts()
+    min_rows = _min_count(min_frac, labels.m)
+    min_cols = _min_count(min_frac, labels.n)
+    if rcnt.min() < min_rows or ccnt.min() < min_cols:
+        raise PartitionError(
+            "input labeling violates the minimum class-size constraint"
         )
-        after = (
-            self._class_terms(self.S[:, b][None, :] - c, self.ccnt[b] - 1, self.rcnt)[0]
-            + self._class_terms(self.S[:, l][None, :] + c, self.ccnt[l] + 1, self.rcnt)[0]
-        )
-        self.S[:, b] -= c
-        self.S[:, l] += c
-        self.ccnt[b] -= 1
-        self.ccnt[l] += 1
-        self.R[:, b] -= self.X[:, j]
-        self.R[:, l] += self.X[:, j]
-        self.h[j] = l
-        return after - before
+    R = X.values @ _one_hot(h, labels.L)  # (m, L) row sums by column class
+    C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
+    S = np.zeros((labels.K, labels.L))
+    np.add.at(S, g, R)
+    cells = cell_terms(S, rcnt, ccnt, f)
+    rows = _Side(X.values, g, R, C, S, rcnt, ccnt, cells, min_rows, f)
+    cols = _Side(X.values.T, h, C.T, R.T, S.T, ccnt, rcnt, cells.T, min_cols, f)
+    return (rows, cols), math.fsum(cells.ravel().tolist())
 
 
 def _sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
            min_frac: float):
     """One full sweep; returns (labels, gain, moves_kept)."""
-    state = _SweepState(X, labels, f, min_frac)
-    f0 = criterion_value(block_stats(X, labels), f)
+    sides, f0 = _sides(X, labels, f, min_frac)
+    moves = []
+    for axis, side in enumerate(sides):
+        target, delta = side.best_moves()
+        moves += [(delta[i], axis, i, target[i])
+                  for i in np.flatnonzero(target != side.labels)]
+    moves.sort(key=lambda t: (-t[0], t[1], t[2]))
 
-    row_label, row_delta = state.best_row_moves()
-    col_label, col_delta = state.best_col_moves()
-    items = [
-        (row_delta[i], 0, i, row_label[i])
-        for i in np.where(row_label != state.g)[0]
-    ] + [
-        (col_delta[j], 1, j, col_label[j])
-        for j in np.where(col_label != state.h)[0]
-    ]
-    items.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    g0, h0 = labels.row_labels, labels.col_labels
     applied: list[tuple[int, int, int]] = []
     running = f0
     best_f, best_t = f0, 0
-    for _, axis, idx, target in items:
-        if axis == 0:
-            if not state.row_move_legal(idx):
-                continue
-            running += state.apply_row_move(idx, target)
-        else:
-            if not state.col_move_legal(idx):
-                continue
-            running += state.apply_col_move(idx, target)
-        applied.append((axis, idx, target))
+    for _, axis, i, k in moves:
+        side = sides[axis]
+        if not side.legal(i):
+            continue
+        running += side.apply(i, k)
+        applied.append((axis, i, k))
         if running > best_f:
             best_f, best_t = running, len(applied)
 
     if best_t == 0:
         return labels, 0.0, 0
-    g, h = g0.copy(), h0.copy()
-    for axis, idx, target in applied[:best_t]:
-        if axis == 0:
-            g[idx] = target
-        else:
-            h[idx] = target
-    new_labels = LabelAssignment(row_labels=g, col_labels=h, K=labels.K, L=labels.L)
+    new = (labels.row_labels.copy(), labels.col_labels.copy())
+    for axis, i, k in applied[:best_t]:
+        new[axis][i] = k
+    new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
+                                 K=labels.K, L=labels.L)
     gain = criterion_value(block_stats(X, new_labels), f) - f0
     if gain < 0.0:
         return labels, 0.0, 0
@@ -347,6 +283,7 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
 def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
              min_frac: float = 0.0):
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
+    check_support(X, f)
     new_labels, gain, _ = _sweep(X, labels, f, min_frac)
     return new_labels, gain
 
@@ -376,6 +313,7 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     functions must share one k-means start).
     """
     f = rate_function(config.rate)
+    check_support(X, f)
     min_rows = _min_count(config.min_frac, X.m)
     min_cols = _min_count(config.min_frac, X.n)
     best: FitResult | None = None

@@ -56,6 +56,16 @@ class TestFit:
         ])
         assert code == 0
 
+    def test_oversized_binary_header_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "X.bin"
+        path.write_bytes(matrixio._HEADER.pack(matrixio.MAGIC, 2**40, 2**40))
+        code = main([
+            "fit", "--input", str(path), "--output", str(tmp_path / "o"),
+            "--K", "2", "--L", "2", "--rate", "gaussian", "--format", "binary",
+        ])
+        assert code == 2
+        assert "header declares" in capsys.readouterr().err
+
     def test_bad_K_is_usage_error(self, tmp_path, capout):
         inp = write_planted(tmp_path)
         code = main([

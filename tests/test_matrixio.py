@@ -40,6 +40,16 @@ def test_binary_bad_magic(tmp_path):
         matrixio.read_matrix_binary(path)
 
 
+@pytest.mark.parametrize("m, n", [(2**40, 2**40), (5, 8)])
+def test_binary_header_larger_than_file(X, tmp_path, m, n):
+    path = tmp_path / "m.bin"
+    matrixio.write_matrix_binary(X, path)
+    with open(path, "r+b") as fh:
+        fh.write(matrixio._HEADER.pack(matrixio.MAGIC, m, n))
+    with pytest.raises(ValueError, match="header declares"):
+        matrixio.read_matrix_binary(path)
+
+
 def test_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.csv"
     labels = np.array([0, 2, 1, 1, 0])

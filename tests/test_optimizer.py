@@ -5,7 +5,7 @@ import pytest
 
 import blockcluster as bc
 from blockcluster.criterion import block_stats, criterion_value, rate_function
-from blockcluster.errors import PartitionError
+from blockcluster.errors import DomainError, PartitionError
 from blockcluster.optimizer import FitConfig, fit, kl_sweep, kmeans_init
 
 
@@ -188,6 +188,11 @@ class TestFit:
         result = fit(X, FitConfig(K=2, L=2, rate="gaussian", min_frac=0.2, seed=0))
         assert result.labels.row_counts().min() >= 4
         assert result.labels.col_counts().min() >= 4
+
+    def test_out_of_domain_data_named_at_entry(self):
+        X = bc.DataMatrix(np.array([[0.0, 1.0], [2.0, 0.5]]))
+        with pytest.raises(DomainError, match=r"2\.0 at row 1, column 0"):
+            fit(X, FitConfig(K=2, L=2, rate="bernoulli"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
