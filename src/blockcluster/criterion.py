@@ -126,13 +126,18 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def block_stats(X: DataMatrix, labels: LabelAssignment) -> BlockStats:
-    """Exact within-bicluster sums and class counts."""
+def check_shape(X: DataMatrix, labels: LabelAssignment) -> None:
+    """Raise ValueError unless the labels have X's row and column counts."""
     if labels.m != X.m or labels.n != X.n:
         raise ValueError(
             f"label dimensions ({labels.m}, {labels.n}) do not match matrix "
             f"({X.m}, {X.n})"
         )
+
+
+def block_stats(X: DataMatrix, labels: LabelAssignment) -> BlockStats:
+    """Exact within-bicluster sums and class counts."""
+    check_shape(X, labels)
     R = X.values @ _one_hot(labels.col_labels, labels.L)  # (m, L)
     S = np.zeros((labels.K, labels.L))
     np.add.at(S, labels.row_labels, R)

@@ -8,7 +8,6 @@ Gaussian finite-sample tail-bound calculator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +18,6 @@ from .errors import DomainError
 from .model import (
     BlockModelSpec, DataMatrix, LabelAssignment, derived_rng, identifiable,
 )
-
-#: largest class count for which exhaustive permutation matching is used
-MAX_PERM_CLASSES = 8
-
 
 def _max_offdiag_product(A: np.ndarray) -> float:
     """max over columns k and rows a != a' of A[a,k] * A[a',k]."""
@@ -71,17 +66,48 @@ def confusion(truth: LabelAssignment, estimate: LabelAssignment) -> ConfusionPai
     )
 
 
+def _max_matching(W: np.ndarray) -> int:
+    """Largest sum of W[i, p(i)] over permutations p of a square integer
+    matrix, by the Hungarian method with shortest augmenting paths, O(k^3)
+    (Jonker & Volgenant 1987).  Rows are matched one at a time; u and v are
+    the dual potentials, and column 0 is a sentinel.  Plain Python integers
+    keep it exact, and for the class counts in use it is faster than numpy
+    calls on k-element arrays."""
+    cost = (-np.asarray(W)).tolist()
+    k = len(cost)
+    u, v = [0] * (k + 1), [0] * (k + 1)
+    match = [0] * (k + 1)  # row (1-based) held by column j
+    for i in range(1, k + 1):
+        match[0], j0 = i, 0
+        slack, way, used = [math.inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+        while match[j0]:
+            used[j0] = True
+            row, ui = cost[match[j0] - 1], u[match[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return -sum(cost[match[j] - 1][j - 1] for j in range(1, k + 1))
+
+
 def _best_perm_rate(truth: np.ndarray, estimate: np.ndarray, k: int) -> float:
-    if k > MAX_PERM_CLASSES:
-        raise ValueError(
-            f"permutation matching supports at most {MAX_PERM_CLASSES} classes, got {k}"
-        )
     agree = np.zeros((k, k), dtype=np.int64)
     np.add.at(agree, (estimate, truth), 1)
-    best = 0
-    for perm in itertools.permutations(range(k)):
-        best = max(best, sum(int(agree[i, perm[i]]) for i in range(k)))
-    return 1.0 - best / truth.size
+    return 1.0 - _max_matching(agree) / truth.size
 
 
 def misclassification(truth: LabelAssignment, estimate: LabelAssignment):

@@ -18,8 +18,17 @@ row side's arrays.  Both steps evaluate rate terms through
 as ``move_delta`` does; the cell terms are cached, so a move recomputes only
 its two class lines.  The state is rebuilt from scratch at the start of
 every sweep, and the kept labeling's criterion is recomputed at its end,
-which cancels any accumulated floating-point drift.  The data are checked
-against the rate domain once, when ``fit`` or ``kl_sweep`` is entered.
+which cancels any accumulated floating-point drift; ``fit`` takes its
+criterion values from these two, so it computes F nowhere else.  The data
+are checked against the rate domain once, when ``fit`` or ``kl_sweep`` is
+entered.
+
+The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
+Lloyd runs, on the rows and on the columns.  The starts draw from the
+seeded stream in the order a one-start-at-a-time loop draws them, then run
+in lockstep: one distance matmul and one centroid matmul per Lloyd step for
+all starts still moving, in groups whose blocks are no larger than the
+data.  The labels are those of the one-start-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .criterion import (
     _one_hot,
     block_stats,
     cell_terms,
+    check_shape,
     check_support,
     criterion_value,
     line_move,
@@ -83,71 +93,133 @@ def _min_count(frac: float, size: int) -> int:
     return max(1, int(math.ceil(frac * size)))
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_points, n_centers)."""
-    pp = np.einsum("ij,ij->i", points, points)
-    cc = np.einsum("ij,ij->i", centers, centers)
-    d = pp[:, None] - 2.0 * points @ centers.T + cc[None, :]
-    np.maximum(d, 0.0, out=d)
-    return d
+def _kmeanspp(points: np.ndarray, pp: np.ndarray, k: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): each centre after
+    the first is a point drawn with probability proportional to its squared
+    distance to the nearest centre so far.  ``pp`` holds the squared norms
+    of the points."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    closest = np.full(n, np.inf)
+    for j in range(1, k):
+        c = centers[j - 1 : j]
+        dist = pp - 2.0 * (points @ c.T).ravel() + np.einsum("ij,ij->i", c, c)
+        np.maximum(dist, 0.0, out=dist)
+        np.minimum(closest, dist, out=closest)
+        total = closest.sum()
+        idx = rng.choice(n, p=closest / total) if total > 0 else rng.integers(n)
+        centers[j] = points[idx]
+    return centers
+
+
+def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
+    """Lloyd's algorithm from each of the (starts, k, d) ``centers`` at once.
+
+    Every step serves all starts that still move with one distance matmul
+    against their stacked centres and one one-hot matmul for the new
+    centroids; a start drops out once its centroids stop changing.  Returns
+    the final labels (starts, n) with their cluster sums (starts, k, d) and
+    sizes (starts, k).
+    """
+    s, k, d = centers.shape
+    n = points.shape[0]
+    labels = np.zeros((s, n), dtype=np.int64)
+    sums = np.zeros((s, k, d))
+    counts = np.zeros((s, k))
+    active = np.arange(s)
+    for _ in range(iters):
+        a = active.size
+        C = centers[active].reshape(a * k, d)
+        # -2 x.c is exact scaling of x.c, so each block equals its own
+        # start's ||x||^2 - 2 x.c + ||c||^2 bit for bit
+        dist = points @ C.T
+        dist *= -2.0
+        dist += pp[:, None]
+        dist += np.einsum("ij,ij->i", C, C)
+        np.maximum(dist, 0.0, out=dist)
+        dist = dist.reshape(n, a, k)
+        lab = dist.argmin(axis=2)
+        own = np.take_along_axis(dist, lab[:, :, None], axis=2)[:, :, 0]
+        del dist
+        C = C.reshape(a, k, d)
+        offsets = np.arange(a) * k
+        cnt = np.bincount((lab + offsets).ravel(), minlength=a * k).reshape(a, k)
+        for t in np.flatnonzero((cnt == 0).any(axis=1)):
+            g, o = lab[:, t], own[:, t]
+            for j in range(k):
+                if not np.any(g == j):
+                    # re-seed the emptied centroid at the point farthest
+                    # from its current centroid
+                    idx = int(o.argmax())
+                    C[t, j] = points[idx]
+                    g[idx] = j
+                    o[idx] = 0.0
+        onehot = np.zeros((n, a * k))
+        onehot[np.arange(n)[:, None], lab + offsets] = 1.0
+        S = (onehot.T @ points).reshape(a, k, d)
+        cnt = onehot.sum(axis=0).reshape(a, k)
+        del onehot
+        new = S / cnt[:, :, None]
+        labels[active], sums[active], counts[active] = lab.T, S, cnt
+        centers[active] = new
+        active = active[~(new == C).all(axis=(1, 2))]
+        if not active.size:
+            break
+    return labels, sums, counts
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
                    iters: int, starts: int = 10) -> np.ndarray:
     """Best of ``starts`` runs of Lloyd's algorithm (by within-cluster sum
-    of squares), each with k-means++ seeding and empty-cluster repair."""
+    of squares), each with k-means++ seeding and empty-cluster repair.
+
+    The starts are seeded one after another from ``rng`` and then run in
+    lockstep by ``_lloyd``, in groups of at most min(n, d) // k starts, so
+    that no per-step block outgrows the points themselves.
+    """
+    n, d = points.shape
+    pp = np.einsum("ij,ij->i", points, points)
+    total = float(pp.sum())
+    group = max(1, min(starts, min(n, d) // k))
+    runs, quick = [], []
+    for first in range(0, starts, group):
+        centers = np.stack([_kmeanspp(points, pp, k, rng)
+                            for _ in range(min(group, starts - first))])
+        labels, sums, counts = _lloyd(points, pp, centers, iters)
+        between = np.einsum("skd,skd->sk", sums, sums) / np.maximum(counts, 1)
+        runs.extend(labels)
+        quick.extend(total - math.fsum(row) for row in between.tolist())
+    # sum ||x||^2 - sum_j ||S_j||^2 / n_j costs no pass over the points but
+    # cancels digits, so it only shortlists the starts within its error of
+    # the best; those are ranked by the per-cluster sums of squared
+    # deviations, each cluster summed once, and the first start wins ties
+    cutoff = min(quick) + 1e-9 * total
+    terms: dict[bytes, float] = {}
     best_labels, best_inertia = None, np.inf
-    for _ in range(starts):
-        labels = _kmeans_single(points, k, rng, iters)
+    for g, value in zip(runs, quick):
+        if value > cutoff:
+            continue
         inertia = 0.0
         for j in range(k):
-            cluster = points[labels == j]
-            inertia += float(((cluster - cluster.mean(axis=0)) ** 2).sum())
+            mask = g == j
+            key = mask.tobytes()
+            if key not in terms:
+                cluster = points[mask]
+                terms[key] = float(((cluster - cluster.mean(axis=0)) ** 2).sum())
+            inertia += terms[key]
         if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
+            best_labels, best_inertia = g, inertia
     return best_labels
-
-
-def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator,
-                   iters: int) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    closest = _sq_dists(points, centers[:1]).ravel()
-    for j in range(1, k):
-        total = closest.sum()
-        if total > 0:
-            idx = rng.choice(n, p=closest / total)
-        else:
-            idx = rng.integers(n)
-        centers[j] = points[idx]
-        np.minimum(closest, _sq_dists(points, centers[j : j + 1]).ravel(), out=closest)
-
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
-        d = _sq_dists(points, centers)
-        labels = d.argmin(axis=1)
-        own = d[np.arange(n), labels]
-        for j in range(k):
-            if not np.any(labels == j):
-                # re-seed the emptied centroid at the point farthest from
-                # its current centroid
-                idx = int(own.argmax())
-                centers[j] = points[idx]
-                labels[idx] = j
-                own[idx] = 0.0
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = points[labels == j].mean(axis=0)
-        if np.array_equal(new_centers, centers):
-            break
-        centers = new_centers
-    return labels
 
 
 def kmeans_init(X: DataMatrix, K: int, L: int, seed: int, iters: int = 50,
                 starts: int = 10) -> LabelAssignment:
-    """k-means applied separately to the rows and to the columns of X."""
+    """k-means applied separately to the rows and to the columns of X: the
+    best of ``starts`` k-means++ starts of at most ``iters`` Lloyd steps,
+    run in lockstep with a distance block no larger than X (see
+    ``_kmeans_labels``)."""
     if K > X.m or L > X.n:
         raise ValueError("K (L) may not exceed the number of rows (columns)")
     g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters, starts)
@@ -226,6 +298,7 @@ class _Side:
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
            min_frac: float):
     """The row and column sides of a state rebuilt from scratch, and F."""
+    check_shape(X, labels)
     g, h = labels.row_labels.copy(), labels.col_labels.copy()
     rcnt, ccnt = labels.row_counts(), labels.col_counts()
     min_rows = _min_count(min_frac, labels.m)
@@ -246,7 +319,9 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
 
 def _sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
            min_frac: float):
-    """One full sweep; returns (labels, gain, moves_kept)."""
+    """One full sweep; returns (labels, f0, f1, moves_kept): the criterion
+    of the input labeling as rebuilt, and the exact criterion of the
+    labeling returned."""
     sides, f0 = _sides(X, labels, f, min_frac)
     moves = []
     for axis, side in enumerate(sides):
@@ -268,24 +343,24 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
             best_f, best_t = running, len(applied)
 
     if best_t == 0:
-        return labels, 0.0, 0
+        return labels, f0, f0, 0
     new = (labels.row_labels.copy(), labels.col_labels.copy())
     for axis, i, k in applied[:best_t]:
         new[axis][i] = k
     new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
                                  K=labels.K, L=labels.L)
-    gain = criterion_value(block_stats(X, new_labels), f) - f0
-    if gain < 0.0:
-        return labels, 0.0, 0
-    return new_labels, gain, best_t
+    f1 = criterion_value(block_stats(X, new_labels), f)
+    if f1 < f0:
+        return labels, f0, f0, 0
+    return new_labels, f0, f1, best_t
 
 
 def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
              min_frac: float = 0.0):
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
     check_support(X, f)
-    new_labels, gain, _ = _sweep(X, labels, f, min_frac)
-    return new_labels, gain
+    new_labels, f0, f1, _ = _sweep(X, labels, f, min_frac)
+    return new_labels, f1 - f0
 
 
 def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
@@ -330,22 +405,24 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             labels = _perturb(
                 labels, derived_rng(config.seed, r, 1), 0.2, min_rows, min_cols
             )
-        try:
-            value = criterion_value(block_stats(X, labels), f)
-        except PartitionError as exc:
-            raise PartitionError(f"restart {r}: {exc}") from exc
+        value = None
         trajectory: list[float] = []
         moves = 0
         converged = False
         for _ in range(config.max_sweeps):
-            labels, gain, kept = _sweep(X, labels, f, config.min_frac)
-            value += gain
+            try:
+                labels, f0, final, kept = _sweep(X, labels, f, config.min_frac)
+            except PartitionError as exc:
+                raise PartitionError(f"restart {r}: {exc}") from exc
+            # the running value starts from the first rebuild, which sums
+            # the same cell terms as criterion_value(block_stats(...))
+            gain = final - f0
+            value = (f0 if value is None else value) + gain
             moves += kept
             trajectory.append(value)
             if gain <= config.tol * max(1.0, abs(value)):
                 converged = True
                 break
-        final = criterion_value(block_stats(X, labels), f)
         result = FitResult(
             labels=labels,
             criterion=final,

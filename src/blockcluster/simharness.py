@@ -17,7 +17,9 @@ Plan files are plain ``key = value`` text ('#' starts a comment):
     methods    = PL-Pois, KM      # PL-Pois | PL-Gaus | PL-Bern | KM
     seed       = 7
 
-Set BLOCKCLUSTER_WORKERS=<k> to run replicates in a process pool.
+Set BLOCKCLUSTER_WORKERS=<k> (an integer >= 1) to run replicates in a
+process pool of at most k workers, no more than the CPU count or the
+number of replicates.
 """
 
 from __future__ import annotations
@@ -166,6 +168,20 @@ def _task(args):
     return _run_replicate(*args)
 
 
+def _worker_count(tasks: int) -> int:
+    """Pool size from BLOCKCLUSTER_WORKERS (default 1), clamped to the CPU
+    count and the number of tasks; a value that is not an integer >= 1
+    raises ValueError."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
+
+
 def run_plan(plan: SimPlan) -> Iterator[SimRecord]:
     """Execute every (cell, replicate, method) of the plan, streaming records."""
     tasks = [
@@ -173,7 +189,7 @@ def run_plan(plan: SimPlan) -> Iterator[SimRecord]:
         for ci, (n, gamma, b) in enumerate(plan.cells())
         for rep in range(plan.replicates)
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_task, tasks, chunksize=1):

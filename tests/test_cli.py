@@ -197,6 +197,26 @@ class TestEvaluate:
         assert json.loads(capout().out)["overall"] == 0.0
 
 
+    def test_ten_classes(self, tmp_path, capout):
+        g = np.repeat(np.arange(10), 3)
+        h = np.array([0, 1, 0, 1])
+        est = (g + 3) % 10
+        est[0] = 5
+        for name, arr in (("tr", g), ("tc", h), ("er", est), ("ec", 1 - h)):
+            matrixio.write_labels_csv(arr, tmp_path / f"{name}.csv")
+        code = main([
+            "evaluate",
+            "--truth-rows", str(tmp_path / "tr.csv"),
+            "--truth-cols", str(tmp_path / "tc.csv"),
+            "--est-rows", str(tmp_path / "er.csv"),
+            "--est-cols", str(tmp_path / "ec.csv"),
+        ])
+        assert code == 0
+        out = json.loads(capout().out)
+        assert out["row_rate"] == pytest.approx(1 / 30)
+        assert out["col_rate"] == 0.0
+
+
 class TestBound:
     BASE = [
         "bound", "--m", "60", "--n", "60", "--K", "2", "--L", "2",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blockcluster as bc
+from blockcluster import optimizer
 from blockcluster.criterion import block_stats, criterion_value, rate_function
 from blockcluster.errors import DomainError, PartitionError
 from blockcluster.optimizer import FitConfig, fit, kl_sweep, kmeans_init
@@ -193,6 +194,67 @@ class TestFit:
         X = bc.DataMatrix(np.array([[0.0, 1.0], [2.0, 0.5]]))
         with pytest.raises(DomainError, match=r"2\.0 at row 1, column 0"):
             fit(X, FitConfig(K=2, L=2, rate="bernoulli"))
+
+    @pytest.mark.parametrize("rate", ["gaussian", "poisson"])
+    def test_criterion_and_trajectory_match_a_replay(self, rate):
+        """The criterion and trajectory equal, with ==, those of replaying the
+        restart's sweeps from F(init) with kl_sweep gains.  On the Gaussian
+        case the summed gains end an ulp away from the final criterion, so
+        the two are told apart."""
+        rng = np.random.default_rng(15 if rate == "gaussian" else 14)
+        if rate == "gaussian":
+            g = rng.permutation(np.arange(30) % 3)
+            h = rng.permutation(np.arange(24) % 2)
+            means = np.array([[4.0, -4.0], [-4.0, 4.0], [0.0, 3.0]])
+            X = bc.DataMatrix(means[g][:, h] + rng.standard_normal((30, 24)))
+        else:
+            X = bc.DataMatrix(rng.poisson(2.0, (30, 24)).astype(float))
+        init = bc.LabelAssignment(rng.permutation(np.arange(30) % 3),
+                                  rng.permutation(np.arange(24) % 2), 3, 2)
+        result = fit(X, FitConfig(K=3, L=2, rate=rate), init=init)
+        f = rate_function(rate)
+        labels, value, trajectory = init, criterion_value(block_stats(X, init), f), []
+        for _ in result.sweep_trajectory:
+            labels, gain = kl_sweep(X, labels, f)
+            value += gain
+            trajectory.append(value)
+        assert trajectory == result.sweep_trajectory
+        assert np.array_equal(labels.row_labels, result.labels.row_labels)
+        assert result.criterion == criterion_value(block_stats(X, labels), f)
+        if rate == "gaussian":
+            assert result.sweep_trajectory[-1] != result.criterion
+
+    def test_block_stats_only_for_kept_sweeps(self, monkeypatch):
+        """F is computed from scratch once per sweep that keeps moves (its
+        exact recompute) and nowhere else in a fit."""
+        rng = np.random.default_rng(15)
+        X = bc.DataMatrix(rng.standard_normal((40, 30)))
+        calls, kept = [], []
+        real_stats, real_sweep = optimizer.block_stats, optimizer._sweep
+
+        def stats_spy(*args):
+            calls.append(1)
+            return real_stats(*args)
+
+        def sweep_spy(*args):
+            out = real_sweep(*args)
+            kept.append(out[3] > 0)
+            return out
+
+        monkeypatch.setattr(optimizer, "block_stats", stats_spy)
+        monkeypatch.setattr(optimizer, "_sweep", sweep_spy)
+        result = fit(X, FitConfig(K=3, L=3, rate="gaussian", restarts=2, seed=5))
+        assert len(kept) >= 4 and sum(kept) >= 2
+        assert len(calls) == sum(kept)
+        assert result.criterion == criterion_value(
+            real_stats(X, result.labels), rate_function("gaussian")
+        )
+
+    def test_init_of_wrong_shape_rejected(self):
+        X = bc.DataMatrix(np.zeros((4, 5)))
+        init = bc.LabelAssignment([0, 1, 0, 1], [0, 1, 0, 1], 2, 2)
+        with pytest.raises(ValueError, match="do not match"):
+            fit(X, FitConfig(K=2, L=2, rate="gaussian"), init=init)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -191,3 +191,48 @@ class TestParallel:
         monkeypatch.setenv(simharness.WORKERS_ENV, "2")
         parallel = [normalized(r) for r in simharness.run_plan(plan)]
         assert parallel == serial
+
+
+class TestWorkerCount:
+    """BLOCKCLUSTER_WORKERS is read and checked without starting a pool."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(count):
+            monkeypatch.setattr(simharness.os, "cpu_count", lambda: count)
+        return set_cpus
+
+    def test_unset_is_serial(self, monkeypatch, cpus):
+        cpus(8)
+        monkeypatch.delenv(simharness.WORKERS_ENV, raising=False)
+        assert simharness._worker_count(10) == 1
+
+    @pytest.mark.parametrize("value, count, tasks, expected", [
+        ("3", 8, 10, 3), ("16", 4, 10, 4), ("8", 8, 2, 2),
+        (" 2 ", 8, 10, 2), ("5", None, 10, 1), ("4", 8, 0, 1),
+    ])
+    def test_clamped(self, monkeypatch, cpus, value, count, tasks, expected):
+        cpus(count)
+        monkeypatch.setenv(simharness.WORKERS_ENV, value)
+        assert simharness._worker_count(tasks) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
+    def test_invalid_values_name_the_variable(self, monkeypatch, cpus, value):
+        cpus(8)
+        monkeypatch.setenv(simharness.WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=simharness.WORKERS_ENV):
+            simharness._worker_count(10)
+
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        from blockcluster.cli import main
+
+        path = tmp_path / "plan.cfg"
+        path.write_text(
+            "design = poisson\nn_values = 40\ngamma_values = 1\nb_values = 5\n"
+            "replicates = 1\nmethods = KM\nseed = 1\n"
+        )
+        monkeypatch.setenv(simharness.WORKERS_ENV, value)
+        assert main(["simulate", "--plan", str(path),
+                     "--output", str(tmp_path / "sim")]) == 2
+        assert simharness.WORKERS_ENV in capsys.readouterr().err
