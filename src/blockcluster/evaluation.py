@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import RateFunction, block_stats
-from .errors import DomainError
 from .model import (
     BlockModelSpec, DataMatrix, LabelAssignment, derived_rng, identifiable,
 )
@@ -47,23 +46,27 @@ class ConfusionPair:
         return self.rows_near_diagonal(delta) and self.cols_near_diagonal(delta)
 
 
-def _joint(truth: np.ndarray, estimate: np.ndarray, k: int) -> np.ndarray:
-    counts = np.zeros((k, k))
-    np.add.at(counts, (truth, estimate), 1.0)
-    return counts / truth.size
+def _contingency(truth: LabelAssignment, estimate: LabelAssignment):
+    """The row and column tables whose [a, k] entry counts the items with
+    true class a and assigned label k."""
+    if truth.m != estimate.m or truth.n != estimate.n:
+        raise ValueError("truth and estimate have different dimensions")
+    if truth.K != estimate.K or truth.L != estimate.L:
+        raise ValueError("truth and estimate have different class counts")
+    tables = []
+    for t, e, k in ((truth.row_labels, estimate.row_labels, truth.K),
+                    (truth.col_labels, estimate.col_labels, truth.L)):
+        counts = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counts, (t, e), 1)
+        tables.append(counts)
+    return tables
 
 
 def confusion(truth: LabelAssignment, estimate: LabelAssignment) -> ConfusionPair:
     """C[a, k] = fraction of rows with true class a and assigned label k;
     D likewise for columns."""
-    if truth.m != estimate.m or truth.n != estimate.n:
-        raise ValueError("truth and estimate have different dimensions")
-    if truth.K != estimate.K or truth.L != estimate.L:
-        raise ValueError("truth and estimate have different class counts")
-    return ConfusionPair(
-        C=_joint(truth.row_labels, estimate.row_labels, truth.K),
-        D=_joint(truth.col_labels, estimate.col_labels, truth.L),
-    )
+    rows, cols = _contingency(truth, estimate)
+    return ConfusionPair(C=rows / truth.m, D=cols / truth.n)
 
 
 def _max_matching(W: np.ndarray) -> int:
@@ -104,24 +107,15 @@ def _max_matching(W: np.ndarray) -> int:
     return -sum(cost[match[j] - 1][j - 1] for j in range(1, k + 1))
 
 
-def _best_perm_rate(truth: np.ndarray, estimate: np.ndarray, k: int) -> float:
-    agree = np.zeros((k, k), dtype=np.int64)
-    np.add.at(agree, (estimate, truth), 1)
-    return 1.0 - _max_matching(agree) / truth.size
-
-
 def misclassification(truth: LabelAssignment, estimate: LabelAssignment):
     """(row_rate, col_rate, overall) after the best label permutations.
 
     ``overall`` weights the row and column rates by m and n.
     """
-    if truth.m != estimate.m or truth.n != estimate.n:
-        raise ValueError("truth and estimate have different dimensions")
-    if truth.K != estimate.K or truth.L != estimate.L:
-        raise ValueError("truth and estimate have different class counts")
-    row_rate = _best_perm_rate(truth.row_labels, estimate.row_labels, truth.K)
-    col_rate = _best_perm_rate(truth.col_labels, estimate.col_labels, truth.L)
+    rows, cols = _contingency(truth, estimate)
     m, n = truth.m, truth.n
+    row_rate = 1.0 - _max_matching(rows) / m
+    col_rate = 1.0 - _max_matching(cols) / n
     overall = (m * row_rate + n * col_rate) / (m + n)
     return row_rate, col_rate, overall
 

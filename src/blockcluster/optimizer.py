@@ -53,6 +53,11 @@ from .criterion import (
 from .errors import PartitionError
 from .model import DataMatrix, LabelAssignment, derived_rng, derived_seed
 
+#: k-means++ starts per k-means initialization; the best one is kept
+KMEANS_STARTS = 10
+#: a restart stops once a sweep gains at most this fraction of |F| (or 1)
+CONVERGENCE_TOL = 1e-9
+
 
 @dataclass
 class FitConfig:
@@ -64,7 +69,6 @@ class FitConfig:
     min_frac: float = 0.0
     kmeans_iters: int = 50
     seed: int = 0
-    tol: float = 1e-9  # relative criterion-improvement stopping threshold
 
     def __post_init__(self):
         if self.K < 1 or self.L < 1:
@@ -148,14 +152,17 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
         cnt = np.bincount((lab + offsets).ravel(), minlength=a * k).reshape(a, k)
         for t in np.flatnonzero((cnt == 0).any(axis=1)):
             g, o = lab[:, t], own[:, t]
-            for j in range(k):
-                if not np.any(g == j):
-                    # re-seed the emptied centroid at the point farthest
-                    # from its current centroid
-                    idx = int(o.argmax())
-                    C[t, j] = points[idx]
-                    g[idx] = j
-                    o[idx] = 0.0
+            empty = np.flatnonzero(cnt[t] == 0)
+            while empty.size:
+                # re-seed the smallest empty class at the unused point
+                # farthest from its centroid; a re-seeded class keeps its
+                # point, so a repair that empties another class is
+                # followed by one more, at most k in all
+                idx = int(o.argmax())
+                C[t, empty[0]] = points[idx]
+                g[idx] = empty[0]
+                o[idx] = -1.0
+                empty = np.flatnonzero(np.bincount(g, minlength=k) == 0)
         onehot = np.zeros((n, a * k))
         onehot[np.arange(n)[:, None], lab + offsets] = 1.0
         S = (onehot.T @ points).reshape(a, k, d)
@@ -171,9 +178,9 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
 
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
-                   iters: int, starts: int = 10) -> np.ndarray:
-    """Best of ``starts`` runs of Lloyd's algorithm (by within-cluster sum
-    of squares), each with k-means++ seeding and empty-cluster repair.
+                   iters: int) -> np.ndarray:
+    """Best of ``KMEANS_STARTS`` runs of Lloyd's algorithm (by within-cluster
+    sum of squares), each with k-means++ seeding and empty-cluster repair.
 
     The starts are seeded one after another from ``rng`` and then run in
     lockstep by ``_lloyd``, in groups of at most min(n, d) // k starts, so
@@ -182,11 +189,11 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
     n, d = points.shape
     pp = np.einsum("ij,ij->i", points, points)
     total = float(pp.sum())
-    group = max(1, min(starts, min(n, d) // k))
+    group = max(1, min(KMEANS_STARTS, min(n, d) // k))
     runs, quick = [], []
-    for first in range(0, starts, group):
+    for first in range(0, KMEANS_STARTS, group):
         centers = np.stack([_kmeanspp(points, pp, k, rng)
-                            for _ in range(min(group, starts - first))])
+                            for _ in range(min(group, KMEANS_STARTS - first))])
         labels, sums, counts = _lloyd(points, pp, centers, iters)
         between = np.einsum("skd,skd->sk", sums, sums) / np.maximum(counts, 1)
         runs.extend(labels)
@@ -214,18 +221,16 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
     return best_labels
 
 
-def kmeans_init(X: DataMatrix, K: int, L: int, seed: int, iters: int = 50,
-                starts: int = 10) -> LabelAssignment:
+def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
+                iters: int = 50) -> LabelAssignment:
     """k-means applied separately to the rows and to the columns of X: the
-    best of ``starts`` k-means++ starts of at most ``iters`` Lloyd steps,
-    run in lockstep with a distance block no larger than X (see
+    best of ``KMEANS_STARTS`` k-means++ starts of at most ``iters`` Lloyd
+    steps, run in lockstep with a distance block no larger than X (see
     ``_kmeans_labels``)."""
     if K > X.m or L > X.n:
         raise ValueError("K (L) may not exceed the number of rows (columns)")
-    g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters, starts)
-    h = _kmeans_labels(
-        np.ascontiguousarray(X.values.T), L, derived_rng(seed, 1), iters, starts
-    )
+    g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
+    h = _kmeans_labels(np.ascontiguousarray(X.values.T), L, derived_rng(seed, 1), iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
 
 
@@ -420,7 +425,7 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             value = (f0 if value is None else value) + gain
             moves += kept
             trajectory.append(value)
-            if gain <= config.tol * max(1.0, abs(value)):
+            if gain <= CONVERGENCE_TOL * max(1.0, abs(value)):
                 converged = True
                 break
         result = FitResult(

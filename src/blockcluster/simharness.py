@@ -7,15 +7,21 @@ k-means initialization.  The KM baseline reports that initialization
 itself.  Records stream out one per (cell, replicate, method); per-record
 failures are captured in the record rather than aborting the grid.
 
-Plan files are plain ``key = value`` text ('#' starts a comment):
+Plan files are plain ``key = value`` text ('#' starts a comment, a repeated
+key keeps its last value, lists are comma-separated).  The keys are the
+fields of ``SimPlan``, ``output_path`` spelled ``output``; the last three
+are optional:
 
-    design     = poisson          # poisson | bernoulli | gaussian | student_t
-    n_values   = 200, 500, 1000
-    gamma_values = 0.5, 1, 2
-    b_values   = 5, 10, 20
-    replicates = 20
-    methods    = PL-Pois, KM      # PL-Pois | PL-Gaus | PL-Bern | KM
-    seed       = 7
+    design       = poisson          # poisson | bernoulli | gaussian | student_t
+    n_values     = 200, 500, 1000   # columns n
+    gamma_values = 0.5, 1, 2        # rows m = round(gamma * n)
+    b_values     = 5, 10, 20        # design signal strength
+    replicates   = 20
+    methods      = PL-Pois, KM      # PL-Pois | PL-Gaus | PL-Bern | KM
+    seed         = 7
+    output       = sim              # output prefix; --output overrides it
+    max_sweeps   = 100              # sweeps per fit (default: 100)
+    kmeans_iters = 50               # Lloyd steps per k-means start (default: 50)
 
 Set BLOCKCLUSTER_WORKERS=<k> (an integer >= 1) to run replicates in a
 process pool of at most k workers, no more than the CPU count or the
@@ -29,23 +35,23 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import chain
 from typing import Iterable, Iterator
 
 from . import evaluation, model, optimizer
 
 WORKERS_ENV = "BLOCKCLUSTER_WORKERS"
 
-METHODS = ("PL-Pois", "PL-Gaus", "PL-Bern", "KM")
-_METHOD_RATE = {"PL-Pois": "poisson", "PL-Gaus": "gaussian", "PL-Bern": "bernoulli"}
-
-#: designs on which each profile-likelihood rate is admissible
-_METHOD_DESIGNS = {
-    "PL-Pois": {"poisson", "bernoulli"},
-    "PL-Gaus": {"poisson", "bernoulli", "gaussian", "student_t"},
-    "PL-Bern": {"bernoulli"},
-    "KM": {"poisson", "bernoulli", "gaussian", "student_t"},
+#: method -> (profile-likelihood rate, or None for the k-means baseline;
+#: the designs on which the method is admissible)
+_METHODS = {
+    "PL-Pois": ("poisson", {"poisson", "bernoulli"}),
+    "PL-Gaus": ("gaussian", set(model.DESIGNS)),
+    "PL-Bern": ("bernoulli", {"bernoulli"}),
+    "KM": (None, set(model.DESIGNS)),
 }
+METHODS = tuple(_METHODS)
 
 
 @dataclass
@@ -73,7 +79,7 @@ class SimPlan:
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; expected one of {METHODS}")
-            if self.design not in _METHOD_DESIGNS[meth]:
+            if self.design not in _METHODS[meth][1]:
                 raise ValueError(
                     f"method {meth} is not applicable to the {self.design} design"
                 )
@@ -109,6 +115,18 @@ class SimRecord:
 RECORD_FIELDS = [f.name for f in fields(SimRecord)]
 
 
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def _parse_value(annotation: str, text: str):
+    """``text`` as a value of a field whose annotation (a string here) is
+    int, float, str, or a comma-separated ``list[...]`` of one of them."""
+    if annotation.startswith("list["):
+        item = _SCALARS[annotation[len("list["):-1]]
+        return [item(v.strip()) for v in text.split(",") if v.strip()]
+    return _SCALARS[annotation](text)
+
+
 def _run_replicate(plan: SimPlan, cell_index: int, n: int, gamma: float,
                    b: float, replicate: int) -> list[SimRecord]:
     m = int(round(gamma * n))
@@ -133,39 +151,30 @@ def _run_replicate(plan: SimPlan, cell_index: int, n: int, gamma: float,
     records = []
     for meth in plan.methods:
         t0 = time.perf_counter()
+        rate = _METHODS[meth][0]
         try:
-            if meth == "KM":
-                labels, criterion, sweeps = init, math.nan, 0
+            if rate is None:  # KM: no criterion, no sweeps
+                labels, outcome = init, {}
             else:
                 config = optimizer.FitConfig(
-                    K=spec.K, L=spec.L, rate=_METHOD_RATE[meth],
+                    K=spec.K, L=spec.L, rate=rate,
                     max_sweeps=plan.max_sweeps,
                     kmeans_iters=plan.kmeans_iters,
                     seed=model.derived_seed(seed, 0),
                 )
                 result = optimizer.fit(X, config, init=init)
-                labels, criterion = result.labels, result.criterion
-                sweeps = len(result.sweep_trajectory)
+                labels = result.labels
+                outcome = dict(criterion=result.criterion,
+                               sweeps=len(result.sweep_trajectory))
             row_rate, col_rate, overall = evaluation.misclassification(truth, labels)
-            records.append(
-                SimRecord(
-                    method=meth, row_rate=row_rate, col_rate=col_rate,
-                    overall=overall, criterion=criterion, sweeps=sweeps,
-                    wall_time_ms=1e3 * (time.perf_counter() - t0), **base,
-                )
-            )
+            outcome.update(row_rate=row_rate, col_rate=col_rate, overall=overall)
         except Exception as exc:  # noqa: BLE001
-            records.append(
-                SimRecord(
-                    method=meth, error=f"{type(exc).__name__}: {exc}",
-                    wall_time_ms=1e3 * (time.perf_counter() - t0), **base,
-                )
-            )
+            outcome = dict(error=f"{type(exc).__name__}: {exc}")
+        records.append(SimRecord(
+            method=meth, wall_time_ms=1e3 * (time.perf_counter() - t0),
+            **outcome, **base,
+        ))
     return records
-
-
-def _task(args):
-    return _run_replicate(*args)
 
 
 def _worker_count(tasks: int) -> int:
@@ -192,40 +201,37 @@ def run_plan(plan: SimPlan) -> Iterator[SimRecord]:
     workers = _worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records in pool.map(_task, tasks, chunksize=1):
+            for records in pool.map(_run_replicate, *zip(*tasks), chunksize=1):
                 yield from records
     else:
         for task in tasks:
-            yield from _task(task)
+            yield from _run_replicate(*task)
 
 
 def write_records(records: Iterable[SimRecord], path) -> Iterator[SimRecord]:
-    """Append-as-you-go CSV writer; re-yields each record after writing."""
+    """Append-as-you-go CSV writer; re-yields each record after writing.
+    The file is created with the first record, so a run that fails before
+    its first record (a bad BLOCKCLUSTER_WORKERS, say) leaves no file."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        return
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
         writer.writeheader()
-        for rec in records:
+        for rec in chain([first], records):
             writer.writerow(asdict(rec))
             fh.flush()
             yield rec
 
 
 def read_records(path) -> list[SimRecord]:
-    out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                SimRecord(
-                    design=row["design"], n=int(row["n"]), m=int(row["m"]),
-                    gamma=float(row["gamma"]), b=float(row["b"]),
-                    method=row["method"], replicate=int(row["replicate"]),
-                    seed=int(row["seed"]), row_rate=float(row["row_rate"]),
-                    col_rate=float(row["col_rate"]), overall=float(row["overall"]),
-                    criterion=float(row["criterion"]), sweeps=int(row["sweeps"]),
-                    wall_time_ms=float(row["wall_time_ms"]), error=row["error"],
-                )
-            )
-    return out
+        return [
+            SimRecord(**{f.name: _parse_value(f.type, row[f.name])
+                         for f in fields(SimRecord)})
+            for row in csv.DictReader(fh)
+        ]
 
 
 SUMMARY_FIELDS = [
@@ -248,27 +254,18 @@ def aggregate(records: Iterable[SimRecord]) -> list[dict]:
         groups.setdefault((rec.gamma, rec.n, rec.b, rec.method), []).append(rec)
     out = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], str(k[3]))):
-        gamma, n, b, method = key
         ok = [r.overall for r in groups[key] if not r.error]
         failures = sum(1 for r in groups[key] if r.error)
         if ok:
             mean = math.fsum(ok) / len(ok)
-            if len(ok) > 1:
-                sd = math.sqrt(
-                    math.fsum((x - mean) ** 2 for x in ok) / (len(ok) - 1)
-                )
-            else:
-                sd = 0.0
+            # sample SD; a single value is exactly its mean, so SD 0
+            sd = math.sqrt(math.fsum((x - mean) ** 2 for x in ok)
+                           / max(len(ok) - 1, 1))
             lo, hi = min(ok), max(ok)
         else:
             mean = sd = lo = hi = math.nan
-        out.append(
-            {
-                "design": records[0].design, "gamma": gamma, "n": n, "b": b,
-                "method": method, "mean": mean, "sd": sd, "min": lo, "max": hi,
-                "count": len(ok), "failures": failures,
-            }
-        )
+        values = (records[0].design, *key, mean, sd, lo, hi, len(ok), failures)
+        out.append(dict(zip(SUMMARY_FIELDS, values)))
     return out
 
 
@@ -279,12 +276,8 @@ def write_summary(summary: list[dict], path) -> None:
         writer.writerows(summary)
 
 
-_LIST_KEYS = {"n_values", "gamma_values", "b_values", "methods"}
-_INT_KEYS = {"replicates", "seed", "max_sweeps", "kmeans_iters"}
-
-
 def parse_plan_file(path) -> SimPlan:
-    """Read a key = value plan file (see module docstring for the schema)."""
+    """Read a key = value plan file (see the module docstring for the keys)."""
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -295,26 +288,18 @@ def parse_plan_file(path) -> SimPlan:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             raw[key] = value
+    plan_keys = {"output" if f.name == "output_path" else f.name: f
+                 for f in fields(SimPlan)}
     kwargs: dict = {}
     for key, value in raw.items():
-        if key == "design":
-            kwargs["design"] = value
-        elif key == "output":
-            kwargs["output_path"] = value
-        elif key == "methods":
-            kwargs["methods"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "n_values":
-                kwargs[key] = [int(v) for v in items]
-            else:
-                kwargs[key] = [float(v) for v in items]
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        else:
+        if key not in plan_keys:
             raise ValueError(f"{path}: unknown plan key {key!r}")
-    missing = {"design", "n_values", "gamma_values", "b_values", "replicates",
-               "methods", "seed"} - set(kwargs)
+        f = plan_keys[key]
+        try:
+            kwargs[f.name] = _parse_value(f.type, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: plan key {key!r}: {exc}") from None
+    missing = {key for key, f in plan_keys.items() if f.default is MISSING} - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing plan keys {sorted(missing)}")
     return SimPlan(**kwargs)

@@ -6,6 +6,7 @@ derandomized so every run checks the same cases.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,39 @@ def test_lockstep_repairs_an_empty_cluster_per_start():
     assert np.bincount(labels[3], minlength=3).min() >= 1
 
 
+def test_lockstep_repair_that_empties_a_class_repairs_it_too():
+    """Every point sits on its centroid and point 0 is class 0's only
+    member, so the repair of class 2 takes it; class 0 must then be
+    repaired in turn, with the next point."""
+    points = np.array([[0.0], [5.0], [5.0], [5.0]])
+    centers = np.array([[[0.0], [5.0], [100.0]]])
+    pp = np.einsum("ij,ij->i", points, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels, sums, counts = optimizer._lloyd(points, pp, centers, 50)
+    assert labels[0].tolist() == [2, 0, 1, 1]
+    assert counts[0].tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("values, K", [
+    (np.ones((6, 5)), 3),
+    (np.repeat([[0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0]], [5, 3], axis=0), 4),
+], ids=["constant", "duplicate_rows"])
+def test_kmeans_repair_takes_each_point_once(values, K):
+    """When every point sits on its centroid, a repair must not take back
+    the point an earlier repair gave to a class, which would leave that
+    class empty with a 0/0 centroid."""
+    X = bc.DataMatrix(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = optimizer.kmeans_init(X, K, 2, seed=0)
+        b = optimizer.kmeans_init(X, K, 2, seed=0)
+    assert np.bincount(a.row_labels, minlength=K).min() >= 1
+    assert np.bincount(a.col_labels, minlength=2).min() >= 1
+    assert np.array_equal(a.row_labels, b.row_labels)
+    assert np.array_equal(a.col_labels, b.col_labels)
+
+
 @pytest.mark.parametrize("points, k, seed", [
     ([[2, 2, 5, 2, 1], [5, 4, 3, 7, 3], [1, 3, 2, 1, 2], [3, 4, 5, 3, 1],
       [3, 1, 4, 2, 3], [3, 2, 5, 1, 1]], 4, 154),
@@ -346,7 +380,11 @@ def test_matching_equals_brute_force(pair):
     np.add.at(agree, (estimate, truth), 1)
     best = max(sum(int(agree[i, p[i]]) for i in range(k))
                for p in itertools.permutations(range(k)))
-    assert evaluation._best_perm_rate(truth, estimate, k) == 1.0 - best / truth.size
+    row_rate, _, _ = evaluation.misclassification(
+        bc.LabelAssignment(truth, truth, k, k),
+        bc.LabelAssignment(estimate, estimate, k, k),
+    )
+    assert row_rate == 1.0 - best / truth.size
 
 
 @SETTINGS

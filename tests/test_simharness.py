@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,13 @@ def normalized(rec):
         if isinstance(value, float) and math.isnan(value):
             d[key] = "nan"
     return d
+
+
+#: a complete plan file of one tiny cell
+DEMO_PLAN = (
+    "design = poisson\nn_values = 40\ngamma_values = 1\nb_values = 5\n"
+    "replicates = 1\nmethods = KM\nseed = 1\n"
+)
 
 
 def small_plan(**over):
@@ -89,6 +97,9 @@ class TestRunPlan:
         written = list(simharness.write_records(simharness.run_plan(plan), path))
         back = simharness.read_records(path)
         assert [normalized(r) for r in back] == [normalized(r) for r in written]
+        for rec in back:  # each column read back as its field's type
+            for f in dataclasses.fields(rec):
+                assert type(getattr(rec, f.name)).__name__ == f.type
 
 
 class TestAggregate:
@@ -150,15 +161,19 @@ class TestPlanFile:
             "b_values = 5\n"
             "replicates = 4\n"
             "methods = PL-Pois, KM  # trailing comment\n"
+            "seed = 1\n"
             "seed = 99\n"
             "output = out/records\n"
+            "max_sweeps = 7\n"
+            "kmeans_iters = 3\n"
         )
         plan = simharness.parse_plan_file(path)
         assert plan.n_values == [100, 200]
         assert plan.gamma_values == [0.5, 1.0]
         assert plan.methods == ["PL-Pois", "KM"]
-        assert plan.seed == 99
+        assert plan.seed == 99  # the last of a repeated key wins
         assert plan.output_path == "out/records"
+        assert plan.max_sweeps == 7 and plan.kmeans_iters == 3
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "plan.cfg"
@@ -174,9 +189,26 @@ class TestPlanFile:
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "plan.cfg"
-        path.write_text("designn = poisson\n")
-        with pytest.raises(ValueError, match="unknown plan key"):
+        for key in ("designn", "output_path"):  # the field is spelled output
+            path.write_text(f"{key} = poisson\n")
+            with pytest.raises(ValueError, match="unknown plan key"):
+                simharness.parse_plan_file(path)
+
+    @pytest.mark.parametrize("line", [
+        "seed = x", "n_values = 100, 2.5", "gamma_values = 1, one",
+        "kmeans_iters = 1e3",
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, line):
+        from blockcluster.cli import main
+
+        path = tmp_path / "plan.cfg"
+        path.write_text(DEMO_PLAN + line + "\n")
+        key = line.split(" =")[0]
+        with pytest.raises(ValueError, match=f"plan.cfg: plan key '{key}': "):
             simharness.parse_plan_file(path)
+        assert main(["simulate", "--plan", str(path),
+                     "--output", str(tmp_path / "sim")]) == 2
+        assert f"plan key '{key}'" in capsys.readouterr().err
 
     def test_bundled_config_parses(self):
         plan = simharness.parse_plan_file("configs/poisson_desk.cfg")
@@ -228,11 +260,9 @@ class TestWorkerCount:
         from blockcluster.cli import main
 
         path = tmp_path / "plan.cfg"
-        path.write_text(
-            "design = poisson\nn_values = 40\ngamma_values = 1\nb_values = 5\n"
-            "replicates = 1\nmethods = KM\nseed = 1\n"
-        )
+        path.write_text(DEMO_PLAN)
         monkeypatch.setenv(simharness.WORKERS_ENV, value)
         assert main(["simulate", "--plan", str(path),
                      "--output", str(tmp_path / "sim")]) == 2
         assert simharness.WORKERS_ENV in capsys.readouterr().err
+        assert not (tmp_path / "sim.records.csv").exists()
