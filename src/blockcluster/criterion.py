@@ -184,22 +184,24 @@ def criterion_value(stats: BlockStats, f: RateFunction) -> float:
     return math.fsum(terms.ravel().tolist())
 
 
-def line_move(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
-              a: int, k: int, line: np.ndarray, before: np.ndarray,
-              f: RateFunction):
-    """One item, with sums ``line`` against the opposite classes, moves from
-    class a to class k of the axis with class lines S and sizes counts.
+def line_move(pairs: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
+              lines: np.ndarray, f: RateFunction) -> np.ndarray:
+    """Criterion changes of a stack of single-item moves on one axis.
 
-    ``before`` holds the current cell terms of lines a and k.  Returns the
-    criterion change and the cell terms of the two lines after the move.
-    ``move_delta`` and the sweep's apply step both go through here.
+    Move t takes an item with sums ``lines[t]`` against the opposite classes
+    from class a to class k: ``pairs[t]`` holds the class lines (S[a], S[k])
+    just before the move, ``counts[t]`` their sizes and ``other_counts[t]``
+    the opposite class sizes.  Each line's cell terms are summed on their
+    own, and the change is (new_a + new_k) - (old_a + old_k).  ``move_delta``
+    (one move) and the sweep (all of its moves on an axis) both go through
+    here.
     """
-    after = cell_terms(
-        np.stack([S[a] - line, S[k] + line]),
-        np.array([counts[a] - 1, counts[k] + 1]), other_counts, f,
-    )
-    old, new = before.sum(axis=1), after.sum(axis=1)
-    return (new[0] + new[1]) - (old[0] + old[1]), after
+    other = other_counts[:, None, :]
+    before = cell_terms(pairs, counts, other, f)
+    after = cell_terms(np.stack([pairs[:, 0] - lines, pairs[:, 1] + lines], axis=1),
+                       counts + np.array([-1, 1]), other, f)
+    old, new = before.sum(axis=2), after.sum(axis=2)
+    return (new[:, 0] + new[:, 1]) - (old[:, 0] + old[:, 1])
 
 
 def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
@@ -223,7 +225,6 @@ def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
     if counts[old] <= 1:
         raise PartitionError(f"moving {name} {index} would empty {name} class {old}")
     pair = [old, new_label]
-    before = cell_terms(S[pair], counts[pair], other, f)
     line = np.bincount(opposite, weights=data[index], minlength=other.size)
-    delta, _ = line_move(S, counts, other, old, new_label, line, before, f)
-    return float(delta)
+    delta = line_move(S[pair][None], counts[pair][None], other[None], line[None], f)
+    return float(delta[0])

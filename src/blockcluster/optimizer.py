@@ -13,15 +13,25 @@ A sweep follows the Kernighan-Lin discipline:
 Each item moves at most once per sweep, so a sweep never decreases the
 criterion.  One engine serves both axes: a column move is a row move on the
 transpose, so the column side of the state holds transposed views of the
-row side's arrays.  Both steps evaluate rate terms through
-``criterion.cell_terms``, and step 2 goes through ``criterion.line_move``,
-as ``move_delta`` does; the cell terms are cached, so a move recomputes only
-its two class lines.  The state is rebuilt from scratch at the start of
-every sweep, and the kept labeling's criterion is recomputed at its end,
-which cancels any accumulated floating-point drift; ``fit`` takes its
-criterion values from these two, so it computes F nowhere else.  The data
-are checked against the rate domain once, when ``fit`` or ``kl_sweep`` is
-entered.
+row side's arrays.  Step 1 evaluates rate terms through
+``criterion.cell_terms``.  Step 2 is a replay, not a loop over moves: one
+walk over the sorted moves with plain int class counts settles which are
+legal, then array operations give each mover's line at its turn (its
+rebuilt line plus the earlier opposite-axis moves, added in move order),
+the class lines and sizes each move touches (S and the counts as cumsums
+of the moves' updates), and all deltas of an axis in one call of
+``criterion.line_move``, the routine ``move_delta`` calls with one move.
+Every float addition happens in the same order as when the items are moved
+one at a time, so the deltas and labels are those of a sequential loop, bit
+for bit; no temporary block is larger than ``REPLAY_BLOCK`` elements.
+
+The state is read, never written, during a sweep.  It is rebuilt from
+scratch once per restart and once for each sweep that keeps moves, from
+the kept labeling; the rebuild supplies that labeling's criterion (the same
+fsum of the same cell terms as ``criterion_value(block_stats(...))``, which
+cancels any drift of the running sum) and the next sweep's state, so
+``fit`` computes F nowhere else.  The data are checked against the rate
+domain once, when ``fit`` or ``kl_sweep`` is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns.  The starts draw from the
@@ -38,7 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criterion import (
+# a fit calls neither block_stats nor criterion_value; both stay attributes
+# of this module, where bench/spans.py counts calls to them
+from .criterion import (  # noqa: F401
     TIE_TOL,
     RateFunction,
     _one_hot,
@@ -57,6 +69,8 @@ from .model import DataMatrix, LabelAssignment, derived_rng, derived_seed
 KMEANS_STARTS = 10
 #: a restart stops once a sweep gains at most this fraction of |F| (or 1)
 CONVERGENCE_TOL = 1e-9
+#: elements in the largest temporary block of a sweep's replay
+REPLAY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -229,6 +243,8 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
     ``_kmeans_labels``)."""
     if K > X.m or L > X.n:
         raise ValueError("K (L) may not exceed the number of rows (columns)")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
     h = _kmeans_labels(np.ascontiguousarray(X.values.T), L, derived_rng(seed, 1), iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
@@ -236,21 +252,18 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
 
 @dataclass(eq=False)
 class _Side:
-    """One axis of the sweep state.  The row side moves rows between row
-    classes; the column side is the row side of the transpose and holds
-    transposed views of the same arrays, so every update through one side
-    is seen by the other.
+    """One axis of a sweep's rebuilt state.  The row side moves rows between
+    row classes; the column side is the row side of the transpose and holds
+    transposed views of the same arrays.
 
-    ``lines[i]`` holds item i's sums against the opposite classes, ``cross``
-    the opposite side's lines transposed (a move shifts the item's data
-    between two of its rows), ``S`` the bicluster sums with this axis's
-    classes first, and ``cells`` the cached cell terms of ``S``.
+    ``lines[i]`` holds item i's sums against the opposite classes, ``S`` the
+    bicluster sums with this axis's classes first, and ``cells`` the cell
+    terms of ``S``.  A sweep reads the state and never writes it.
     """
 
     X: np.ndarray
     labels: np.ndarray
     lines: np.ndarray
-    cross: np.ndarray
     S: np.ndarray
     counts: np.ndarray
     other_counts: np.ndarray
@@ -264,8 +277,8 @@ class _Side:
         target, delta = self.labels.copy(), np.zeros(self.labels.size)
         movers = np.flatnonzero(self.counts[self.labels] > self.min_count)
         a, lines = self.labels[movers], self.lines[movers]
-        # each line summed in the order the apply step sums it, whatever
-        # the layout of this side's view
+        # each line summed as line_move sums it, whatever the layout of
+        # this side's view
         base = np.ascontiguousarray(self.cells).sum(axis=1)
         leave = cell_terms(self.S[a] - lines, self.counts[a] - 1,
                            self.other_counts, self.f).sum(axis=1)
@@ -281,28 +294,11 @@ class _Side:
         delta[movers] = np.where(label == a, 0.0, best)
         return target, delta
 
-    def legal(self, i: int) -> bool:
-        return self.counts[self.labels[i]] > self.min_count
-
-    def apply(self, i: int, k: int) -> float:
-        """Move item i to class k; returns the exact criterion delta."""
-        a, line = self.labels[i], self.lines[i]
-        delta, after = line_move(self.S, self.counts, self.other_counts, a, k,
-                                 line, self.cells[[a, k]], self.f)
-        self.S[a] -= line
-        self.S[k] += line
-        self.counts[a] -= 1
-        self.counts[k] += 1
-        self.cross[a] -= self.X[i]
-        self.cross[k] += self.X[i]
-        self.cells[[a, k]] = after
-        self.labels[i] = k
-        return delta
-
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
            min_frac: float):
-    """The row and column sides of a state rebuilt from scratch, and F."""
+    """The row and column sides of a state rebuilt from scratch, and F (the
+    same fsum of the same cell terms as ``criterion_value(block_stats(...))``)."""
     check_shape(X, labels)
     g, h = labels.row_labels.copy(), labels.col_labels.copy()
     rcnt, ccnt = labels.row_counts(), labels.col_counts()
@@ -317,54 +313,165 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     S = np.zeros((labels.K, labels.L))
     np.add.at(S, g, R)
     cells = cell_terms(S, rcnt, ccnt, f)
-    rows = _Side(X.values, g, R, C, S, rcnt, ccnt, cells, min_rows, f)
-    cols = _Side(X.values.T, h, C.T, R.T, S.T, ccnt, rcnt, cells.T, min_cols, f)
+    rows = _Side(X.values, g, R, S, rcnt, ccnt, cells, min_rows, f)
+    cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, min_cols, f)
     return (rows, cols), math.fsum(cells.ravel().tolist())
 
 
-def _sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
-           min_frac: float):
-    """One full sweep; returns (labels, f0, f1, moves_kept): the criterion
-    of the input labeling as rebuilt, and the exact criterion of the
-    labeling returned."""
-    sides, f0 = _sides(X, labels, f, min_frac)
-    moves = []
+def _legal(sides, axis: np.ndarray, item: np.ndarray, target: np.ndarray):
+    """Walk the sorted moves once with plain int class counts, skipping a
+    move that would shrink its class below the floor; returns the applied
+    ones as rows (axis, item, from, to).  Each item moves at most once, so
+    its source class is its current label."""
+    counts = [side.counts.tolist() for side in sides]
+    labels = [side.labels.tolist() for side in sides]
+    floor = [side.min_count for side in sides]
+    applied = []
+    for s, i, k in zip(axis.tolist(), item.tolist(), target.tolist()):
+        c, a = counts[s], labels[s][i]
+        if c[a] > floor[s]:
+            c[a] -= 1
+            c[k] += 1
+            applied.append((s, i, a, k))
+    return np.array(applied, dtype=np.int64).reshape(-1, 4)
+
+
+def _turn_lines(side: _Side, items: np.ndarray, times: np.ndarray,
+                opp: np.ndarray) -> np.ndarray:
+    """Each mover's line at its turn: its rebuilt line plus the data of the
+    earlier opposite-axis moves ``opp`` (rows time, item, from, to), added
+    class by class in move order with one cumsum per opposite class: the
+    additions a running state makes as each move shifts its item's data out
+    of one class and into another.  Movers and moves are taken in blocks of
+    at most ``REPLAY_BLOCK`` elements that carry each mover's partial sum on
+    to the next block."""
+    out = side.lines[items]
+    for c in range(out.shape[1]):
+        touch = opp[(opp[:, 2] == c) | (opp[:, 3] == c)]
+        if not touch.shape[0]:
+            continue
+        sign = np.where(touch[:, 3] == c, 1.0, -1.0)
+        # earlier touching moves per mover, nondecreasing along the movers
+        need = np.searchsorted(touch[:, 0], times)
+        width = min(touch.shape[0], REPLAY_BLOCK - 1)
+        rows = max(1, REPLAY_BLOCK // (width + 1))
+        for r0 in range(0, items.size, rows):
+            r1 = min(r0 + rows, items.size)
+            upto, col = need[r0:r1], out[r0:r1, c]
+            carry = col.copy()
+            for c0 in range(0, int(upto[-1]), width):
+                c1 = min(c0 + width, int(upto[-1]))
+                block = np.empty((r1 - r0, c1 - c0 + 1))
+                block[:, 0] = carry
+                np.multiply(side.X[np.ix_(items[r0:r1], touch[c0:c1, 1])],
+                            sign[c0:c1], out=block[:, 1:])
+                np.cumsum(block, axis=1, out=block)
+                hit = (upto > c0) & (upto <= c1)
+                col[hit] = block[hit, upto[hit] - c0]
+                carry = block[:, -1]
+    return out
+
+
+def _touched(rows: _Side, moves: np.ndarray, lines: list):
+    """Per axis, for each of its moves: the two class lines (S[a], S[k]) it
+    touches and their sizes just before it, and the opposite class sizes.
+    S runs as a cumsum of the moves' -line/+line updates in move order and
+    the class counts as a cumsum of -1/+1, in blocks of moves that carry S
+    and the counts on; a block holds at most ``REPLAY_BLOCK`` elements of S
+    (two copies of S where S alone is larger)."""
+    S, counts = rows.S, [rows.counts, rows.other_counts]
+    K, L = S.shape
+    axis, src, dst = moves[:, 0], moves[:, 2], moves[:, 3]
+    where = [np.flatnonzero(axis == s) for s in (0, 1)]
+    width = [L, K]
+    pairs = [np.empty((w.size, 2, n)) for w, n in zip(where, width)]
+    sizes = [np.empty((w.size, 2), dtype=np.int64) for w in where]
+    others = [np.empty((w.size, n), dtype=np.int64) for w, n in zip(where, width)]
+    step = max(1, REPLAY_BLOCK // (K * L) - 1)
+    for t0 in range(0, axis.size, step):
+        t1 = min(t0 + step, axis.size)
+        # entry t - t0 of run (of cnt) holds S (the class sizes) before move t
+        run = np.zeros((t1 - t0 + 1, K, L))
+        run[0] = S
+        cnt = [np.zeros((t1 - t0 + 1, c.size), dtype=np.int64) for c in counts]
+        for c, start in zip(cnt, counts):
+            c[0] = start
+        views = [run, run.transpose(0, 2, 1)]
+        spans = [slice(*np.searchsorted(w, [t0, t1])) for w in where]
+        for s, span in enumerate(spans):
+            t = where[s][span]
+            views[s][t - t0 + 1, src[t]] = -lines[s][span]
+            views[s][t - t0 + 1, dst[t]] = lines[s][span]
+            cnt[s][t - t0 + 1, src[t]] = -1
+            cnt[s][t - t0 + 1, dst[t]] = 1
+        np.cumsum(run, axis=0, out=run)
+        for c in cnt:
+            np.cumsum(c, axis=0, out=c)
+        for s, span in enumerate(spans):
+            t = where[s][span]
+            pairs[s][span, 0] = views[s][t - t0, src[t]]
+            pairs[s][span, 1] = views[s][t - t0, dst[t]]
+            sizes[s][span, 0] = cnt[s][t - t0, src[t]]
+            sizes[s][span, 1] = cnt[s][t - t0, dst[t]]
+            others[s][span] = cnt[1 - s][t - t0]
+        S, counts = run[-1], [c[-1] for c in cnt]
+    return pairs, sizes, others
+
+
+def _replay(sides, moves: np.ndarray) -> np.ndarray:
+    """The exact criterion change of each applied move (rows axis, item,
+    from, to), in order, replayed as array operations on the sweep's
+    unchanged rebuilt state: every sum adds the same numbers in the same
+    order as moving the items one at a time would."""
+    axis = moves[:, 0]
+    if not axis.size:
+        return np.zeros(0)
+    timed = np.column_stack([np.arange(axis.size), moves[:, 1:]])
+    lines = [_turn_lines(side, timed[axis == s, 1], timed[axis == s, 0],
+                         timed[axis != s])
+             for s, side in enumerate(sides)]
+    pairs, sizes, others = _touched(sides[0], moves, lines)
+    deltas = np.empty(axis.size)
+    for s, side in enumerate(sides):
+        deltas[axis == s] = line_move(pairs[s], sizes[s], others[s], lines[s], side.f)
+    return deltas
+
+
+def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float,
+           f: RateFunction, min_frac: float):
+    """One full sweep from ``labels``, whose rebuilt state is ``sides`` with
+    criterion ``f0``.  Returns (labels, sides, f1, moves_kept) for the
+    labeling returned: its rebuilt state and exact criterion, and the number
+    of moves kept."""
+    scored = []
     for axis, side in enumerate(sides):
         target, delta = side.best_moves()
-        moves += [(delta[i], axis, i, target[i])
-                  for i in np.flatnonzero(target != side.labels)]
-    moves.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    applied: list[tuple[int, int, int]] = []
-    running = f0
-    best_f, best_t = f0, 0
-    for _, axis, i, k in moves:
-        side = sides[axis]
-        if not side.legal(i):
-            continue
-        running += side.apply(i, k)
-        applied.append((axis, i, k))
-        if running > best_f:
-            best_f, best_t = running, len(applied)
-
-    if best_t == 0:
-        return labels, f0, f0, 0
-    new = (labels.row_labels.copy(), labels.col_labels.copy())
-    for axis, i, k in applied[:best_t]:
-        new[axis][i] = k
+        items = np.flatnonzero(target != side.labels)
+        scored.append((delta[items], np.full(items.size, axis), items, target[items]))
+    delta, axis, item, target = (np.concatenate(v) for v in zip(*scored))
+    order = np.lexsort((item, axis, -delta))
+    moves = _legal(sides, axis[order], item[order], target[order])
+    running = np.cumsum(np.concatenate([[f0], _replay(sides, moves)]))
+    kept = int(running.argmax())
+    if kept == 0:
+        return labels, sides, f0, 0
+    new = [labels.row_labels.copy(), labels.col_labels.copy()]
+    for s, i, _, k in moves[:kept].tolist():
+        new[s][i] = k
     new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
                                  K=labels.K, L=labels.L)
-    f1 = criterion_value(block_stats(X, new_labels), f)
+    new_sides, f1 = _sides(X, new_labels, f, min_frac)
     if f1 < f0:
-        return labels, f0, f0, 0
-    return new_labels, f0, f1, best_t
+        return labels, sides, f0, 0
+    return new_labels, new_sides, f1, kept
 
 
 def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
              min_frac: float = 0.0):
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
     check_support(X, f)
-    new_labels, f0, f1, _ = _sweep(X, labels, f, min_frac)
+    sides, f0 = _sides(X, labels, f, min_frac)
+    new_labels, _, f1, _ = _sweep(X, labels, sides, f0, f, min_frac)
     return new_labels, f1 - f0
 
 
@@ -410,24 +517,25 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             labels = _perturb(
                 labels, derived_rng(config.seed, r, 1), 0.2, min_rows, min_cols
             )
-        value = None
+        try:
+            sides, f0 = _sides(X, labels, f, config.min_frac)
+        except PartitionError as exc:
+            raise PartitionError(f"restart {r}: {exc}") from exc
+        value = f0
         trajectory: list[float] = []
         moves = 0
         converged = False
         for _ in range(config.max_sweeps):
-            try:
-                labels, f0, final, kept = _sweep(X, labels, f, config.min_frac)
-            except PartitionError as exc:
-                raise PartitionError(f"restart {r}: {exc}") from exc
-            # the running value starts from the first rebuild, which sums
-            # the same cell terms as criterion_value(block_stats(...))
+            labels, sides, final, kept = _sweep(X, labels, sides, f0, f,
+                                                config.min_frac)
             gain = final - f0
-            value = (f0 if value is None else value) + gain
+            value += gain
             moves += kept
             trajectory.append(value)
             if gain <= CONVERGENCE_TOL * max(1.0, abs(value)):
                 converged = True
                 break
+            f0 = final
         result = FitResult(
             labels=labels,
             criterion=final,

@@ -72,8 +72,9 @@ class SimPlan:
             raise ValueError(f"unknown design {self.design!r}")
         if not self.n_values or not self.gamma_values or not self.b_values:
             raise ValueError("n_values, gamma_values, and b_values must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        for key in ("replicates", "max_sweeps", "kmeans_iters"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for meth in self.methods:
@@ -302,4 +303,7 @@ def parse_plan_file(path) -> SimPlan:
     missing = {key for key, f in plan_keys.items() if f.default is MISSING} - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing plan keys {sorted(missing)}")
-    return SimPlan(**kwargs)
+    try:
+        return SimPlan(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

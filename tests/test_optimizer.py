@@ -60,6 +60,11 @@ class TestKmeansInit:
         with pytest.raises(ValueError):
             kmeans_init(X, 4, 1, seed=0)
 
+    def test_no_lloyd_step_rejected(self):
+        X = bc.DataMatrix(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            kmeans_init(X, 2, 2, seed=0, iters=0)
+
 
 class TestKlSweep:
     def test_fixed_point_at_optimum(self):
@@ -224,17 +229,23 @@ class TestFit:
         if rate == "gaussian":
             assert result.sweep_trajectory[-1] != result.criterion
 
-    def test_block_stats_only_for_kept_sweeps(self, monkeypatch):
-        """F is computed from scratch once per sweep that keeps moves (its
-        exact recompute) and nowhere else in a fit."""
+    def test_no_block_stats_and_one_rebuild_per_kept_sweep(self, monkeypatch):
+        """A fit never calls block_stats: the state is rebuilt once per
+        restart and once per sweep that keeps moves, and each rebuild
+        supplies F and the next sweep's state."""
         rng = np.random.default_rng(15)
         X = bc.DataMatrix(rng.standard_normal((40, 30)))
-        calls, kept = [], []
-        real_stats, real_sweep = optimizer.block_stats, optimizer._sweep
+        calls, rebuilds, kept = [], [], []
+        real_stats, real_sides = optimizer.block_stats, optimizer._sides
+        real_sweep = optimizer._sweep
 
         def stats_spy(*args):
             calls.append(1)
             return real_stats(*args)
+
+        def sides_spy(*args):
+            rebuilds.append(1)
+            return real_sides(*args)
 
         def sweep_spy(*args):
             out = real_sweep(*args)
@@ -242,10 +253,12 @@ class TestFit:
             return out
 
         monkeypatch.setattr(optimizer, "block_stats", stats_spy)
+        monkeypatch.setattr(optimizer, "_sides", sides_spy)
         monkeypatch.setattr(optimizer, "_sweep", sweep_spy)
         result = fit(X, FitConfig(K=3, L=3, rate="gaussian", restarts=2, seed=5))
         assert len(kept) >= 4 and sum(kept) >= 2
-        assert len(calls) == sum(kept)
+        assert len(calls) == 0
+        assert len(rebuilds) == sum(kept) + 2
         assert result.criterion == criterion_value(
             real_stats(X, result.labels), rate_function("gaussian")
         )

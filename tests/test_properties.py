@@ -1,8 +1,9 @@
 """Property tests of the sweep engine, the lockstep k-means, the
 misclassification matching and the matrix file formats.
 
-Sizes stay small so the whole module runs in a few seconds; examples are
-derandomized so every run checks the same cases.
+Sizes stay small so the whole module runs in a few seconds.  The number of
+examples comes from the hypothesis profile (``tests/conftest.py``); both
+profiles are derandomized, so every run checks the same cases.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import event, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -26,8 +27,6 @@ from blockcluster.criterion import (  # noqa: E402
     move_delta,
     rate_function,
 )
-
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 #: relative tolerance, against max(1, |F|), for incremental against exact F
 REL = 1e-9
@@ -60,7 +59,6 @@ def F(X, labels, f):
     return criterion_value(block_stats(X, labels), f)
 
 
-@SETTINGS
 @given(problems())
 def test_sweep_never_lowers_criterion(problem):
     X, labels, f, min_frac = problem
@@ -72,7 +70,6 @@ def test_sweep_never_lowers_criterion(problem):
     assert new.col_counts().min() >= floor(min_frac, X.n)
 
 
-@SETTINGS
 @given(problems())
 def test_scored_deltas_match_move_delta(problem):
     X, labels, f, min_frac = problem
@@ -87,43 +84,39 @@ def test_scored_deltas_match_move_delta(problem):
             assert abs(delta[i] - exact) <= REL * scale
 
 
-@SETTINGS
 @given(problems())
 def test_running_criterion_is_exact(problem):
-    """Every move the sweep applies is recorded; after each one the running
-    criterion must equal F recomputed from scratch, the cached cell terms
-    must equal fresh ones, and the kept prefix must be the best one."""
+    """Every move the sweep applies is replayed with its delta; after each
+    one the running criterion must equal F recomputed from scratch, and the
+    kept prefix must be the best one."""
     X, labels, f, min_frac = problem
-    made, applied = [], []
-    real_sides, real_apply = optimizer._sides, optimizer._Side.apply
+    replayed = []
+    real_replay = optimizer._replay
 
-    def sides_spy(*args):
-        out = real_sides(*args)
-        made.append(out[0])
-        return out
+    def replay_spy(sides, moves):
+        deltas = real_replay(sides, moves)
+        replayed.append((moves.tolist(), deltas.tolist()))
+        return deltas
 
-    def apply_spy(side, i, k):
-        delta = real_apply(side, i, k)
-        applied.append((made[-1].index(side), int(i), int(k), delta))
-        rows = made[-1][0]
-        fresh = cell_terms(rows.S, rows.counts, rows.other_counts, f)
-        assert np.array_equal(rows.cells, fresh)
-        return delta
-
+    sides, f0_sweep = optimizer._sides(X, labels, f, min_frac)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_sides", sides_spy)
-        mp.setattr(optimizer._Side, "apply", apply_spy)
-        new, f0_sweep, f1, kept = optimizer._sweep(X, labels, f, min_frac)
+        mp.setattr(optimizer, "_replay", replay_spy)
+        new, new_sides, f1, kept = optimizer._sweep(X, labels, sides, f0_sweep,
+                                                     f, min_frac)
 
     f0 = F(X, labels, f)
     # the sweep reports the criterion of its input and of its output
     # exactly as criterion_value(block_stats(...)) computes them
     assert f0_sweep == f0
     assert f1 == F(X, new, f)
+    assert np.array_equal(new_sides[0].labels, new.row_labels)
+    assert np.array_equal(new_sides[1].labels, new.col_labels)
+    [(moves, deltas)] = replayed
     scale = max(1.0, abs(f0))
     current = [labels.row_labels.copy(), labels.col_labels.copy()]
     running, best_f, best_t = f0, f0, 0
-    for t, (axis, i, k, delta) in enumerate(applied, start=1):
+    for t, ((axis, i, a, k), delta) in enumerate(zip(moves, deltas), start=1):
+        assert current[axis][i] == a
         current[axis][i] = k
         running += delta
         exact = F(X, bc.LabelAssignment(*current, labels.K, labels.L), f)
@@ -135,7 +128,146 @@ def test_running_criterion_is_exact(problem):
         assert abs(best_f - F(X, new, f)) <= REL * scale
     assert f1 >= f0
     if not kept:
+        assert new is labels and new_sides is sides and f1 == f0
+
+
+# -- the sweep's replay against the one-move-at-a-time apply loop ---------
+
+def sequential_sweep(X, labels, f, min_frac):
+    """The sweep as a loop that applies one move at a time to a running
+    state, updating the opposite side's lines and the cached cell terms of
+    the two class lines each move touches (the reference the replay must
+    reproduce bit for bit).  Returns the applied moves (axis, item, from,
+    to), their deltas, the running criterion, the kept prefix, the labels
+    kept and the number of moves skipped as illegal."""
+    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    moves = []
+    for axis, side in enumerate(sides):
+        target, delta = side.best_moves()
+        moves += [(delta[i], axis, i, target[i])
+                  for i in np.flatnonzero(target != side.labels)]
+    moves.sort(key=lambda t: (-t[0], t[1], t[2]))
+
+    rows, cols = sides
+    R, C, S = rows.lines.copy(), cols.lines.T.copy(), rows.S.copy()
+    rcnt, ccnt, cells = rows.counts.copy(), cols.counts.copy(), rows.cells.copy()
+    g, h = labels.row_labels.copy(), labels.col_labels.copy()
+    state = [(X.values, g, R, C, S, rcnt, ccnt, cells, rows.min_count),
+             (X.values.T, h, C.T, R.T, S.T, ccnt, rcnt, cells.T, cols.min_count)]
+    applied, deltas, skipped = [], [], 0
+    for _, axis, i, k in moves:
+        data, lab, lines, cross, S_, counts, other, cached, floor = state[axis]
+        a = lab[i]
+        if counts[a] <= floor:
+            skipped += 1
+            continue
+        line = lines[i]
+        after = cell_terms(np.stack([S_[a] - line, S_[k] + line]),
+                           np.array([counts[a] - 1, counts[k] + 1]), other, f)
+        old, new = cached[[a, k]].sum(axis=1), after.sum(axis=1)
+        deltas.append((new[0] + new[1]) - (old[0] + old[1]))
+        S_[a] -= line
+        S_[k] += line
+        counts[a] -= 1
+        counts[k] += 1
+        cross[a] -= data[i]
+        cross[k] += data[i]
+        cached[[a, k]] = after
+        lab[i] = k
+        applied.append([axis, int(i), int(a), int(k)])
+
+    running = [f0]
+    for delta in deltas:
+        running.append(running[-1] + delta)
+    kept = max(range(len(running)), key=lambda t: (running[t], -t))
+    kept_labels = [labels.row_labels.copy(), labels.col_labels.copy()]
+    for axis, i, _, k in applied[:kept]:
+        kept_labels[axis][i] = k
+    return applied, deltas, running, kept, kept_labels, skipped
+
+
+@st.composite
+def replay_problems(draw):
+    """(X, labels, f, min_frac): as ``problems``, with the 30% class-size
+    floor (two classes) and single-class axes, whose sweeps move items of
+    the other axis only, or none."""
+    kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
+    m, n = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    min_frac = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    sizes = st.sampled_from([1, 2] if min_frac == 0.3 else [1, 2, 3, 4])
+    K, L = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        values = rng.standard_normal((m, n)) * draw(st.sampled_from([1.0, 100.0]))
+    elif kind == "poisson":
+        values = rng.poisson(3.0, (m, n)).astype(float)
+    else:
+        values = (rng.random((m, n)) < 0.4).astype(float)
+    g = rng.permutation(np.arange(m) % K)
+    h = rng.permutation(np.arange(n) % L)
+    labels = bc.LabelAssignment(g, h, K, L)
+    return bc.DataMatrix(values), labels, rate_function(kind), min_frac
+
+
+def check_replay_matches_sequential(X, labels, f, min_frac):
+    applied, deltas, running, kept, kept_labels, skipped = sequential_sweep(
+        X, labels, f, min_frac)
+    replayed = []
+    real_replay = optimizer._replay
+
+    def replay_spy(sides, moves):
+        out = real_replay(sides, moves)
+        replayed.append((moves.tolist(), out))
+        return out
+
+    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    before = [(side.lines.copy(), side.S.copy(), side.counts.copy(),
+               side.cells.copy()) for side in sides]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_replay", replay_spy)
+        new, _, f1, got_kept = optimizer._sweep(X, labels, sides, f0, f, min_frac)
+    [(moves, got)] = replayed
+    assert moves == applied
+    assert got.tolist() == deltas
+    assert np.cumsum(np.concatenate([[f0], got])).tolist() == running
+    assert got_kept == kept
+    assert np.array_equal(new.row_labels, kept_labels[0])
+    assert np.array_equal(new.col_labels, kept_labels[1])
+    if kept == 0:
         assert new is labels and f1 == f0
+    # the sweep reads its rebuilt state and never writes it
+    for side, arrays in zip(sides, before):
+        for now, then in zip((side.lines, side.S, side.counts, side.cells), arrays):
+            assert np.array_equal(now, then)
+    return applied, skipped
+
+
+@given(replay_problems(), st.sampled_from([2, 3, 5, optimizer.REPLAY_BLOCK]))
+def test_replay_matches_sequential_apply(problem, block):
+    """Per-move deltas, running criterion, kept prefix and labels of the
+    replay equal those of the one-move-at-a-time loop, bit for bit, also
+    with blocks so small that every block carries partial sums on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "REPLAY_BLOCK", block)
+        applied, skipped = check_replay_matches_sequential(*problem)
+    axes = {axis for axis, *_ in applied}
+    event(f"axes moved: {sorted(axes)}")
+    event("a move skipped as illegal" if skipped else "no move skipped")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_replay_skips_illegal_moves_as_the_loop_does(seed):
+    """Under a 45% class-size floor a class of 10 in 20 may lose one item,
+    so a second move out of it turns illegal; the replay must skip exactly
+    the moves the loop skips."""
+    rng = np.random.default_rng(seed)
+    X = bc.DataMatrix(rng.standard_normal((20, 20)))
+    labels = bc.LabelAssignment(np.arange(20) % 2, np.arange(20) % 2, 2, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "REPLAY_BLOCK", 2)
+        _, skipped = check_replay_matches_sequential(
+            X, labels, rate_function("gaussian"), 0.45)
+    assert skipped > 0
 
 
 matrices = hnp.arrays(
@@ -145,7 +277,6 @@ matrices = hnp.arrays(
 )
 
 
-@SETTINGS
 @given(matrices, st.booleans())
 def test_csv_roundtrip(tmp_path_factory, values, header):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -153,7 +284,6 @@ def test_csv_roundtrip(tmp_path_factory, values, header):
     assert np.array_equal(matrixio.read_matrix_csv(path).values, values)
 
 
-@SETTINGS
 @given(matrices)
 def test_binary_roundtrip(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("bmat") / "m.bin"
@@ -234,7 +364,6 @@ def oracle_init(X, K, L, seed, iters):
                           derived_rng(seed, 1), iters))
 
 
-@SETTINGS
 @given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 5),
        st.integers(1, 5), st.sampled_from([1, 2, 50]),
        st.integers(0, 2**32 - 1))
@@ -247,7 +376,6 @@ def test_kmeans_matches_one_start_at_a_time(m, n, K, L, iters, seed):
     assert np.array_equal(got.col_labels, h)
 
 
-@SETTINGS
 @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_kmeans_on_integer_data_with_duplicates(K, d, seed):
     """Duplicate rows make exact distance ties, which may break either way
@@ -372,7 +500,6 @@ def label_pairs(draw, max_k=6):
     return truth, estimate, k
 
 
-@SETTINGS
 @given(label_pairs())
 def test_matching_equals_brute_force(pair):
     truth, estimate, k = pair
@@ -387,7 +514,6 @@ def test_matching_equals_brute_force(pair):
     assert row_rate == 1.0 - best / truth.size
 
 
-@SETTINGS
 @given(label_pairs(max_k=10), st.integers(0, 2**32 - 1))
 def test_misclassification_label_permutation_invariant(pair, seed):
     """Renaming the classes of either labeling, and reordering the items of

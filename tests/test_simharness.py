@@ -210,6 +210,24 @@ class TestPlanFile:
                      "--output", str(tmp_path / "sim")]) == 2
         assert f"plan key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["max_sweeps", "kmeans_iters"])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, key):
+        """A plan that would run no sweep or no Lloyd step is refused up
+        front, not run into failed or all-zero records."""
+        from blockcluster.cli import main
+
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            small_plan(**{key: 0})
+        path = tmp_path / "plan.cfg"
+        path.write_text(DEMO_PLAN + f"{key} = 0\n")
+        with pytest.raises(ValueError, match=f"plan.cfg: {key} must be >= 1"):
+            simharness.parse_plan_file(path)
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--plan", str(path), "--output", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert "plan.cfg" in err and key in err
+        assert not (tmp_path / "sim.records.csv").exists()
+
     def test_bundled_config_parses(self):
         plan = simharness.parse_plan_file("configs/poisson_desk.cfg")
         assert plan.design == "poisson"
