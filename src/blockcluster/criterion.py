@@ -163,6 +163,25 @@ def check_support(X: DataMatrix, f: RateFunction) -> None:
         )
 
 
+def check_norms(X: DataMatrix) -> None:
+    """Raise DomainError naming the first row, else column, of X whose
+    squared norm, or else X if the sum of its squares, exceeds half of what
+    k-means's summed squared distances (at most 4 max(m, n) times the sum)
+    and the Gaussian rate terms can hold.  No norm exceeds the sum."""
+    V = X.values
+    limit = np.finfo(np.float64).max / (8 * max(V.shape))
+    with np.errstate(over="ignore"):
+        total = np.vdot(V, V)
+        if total <= limit:
+            return
+        rows, cols = np.einsum("ij,ij->i", V, V), np.einsum("ij,ij->j", V, V)
+    for name, sq in (("row {}", rows), ("column {}", cols), ("X", np.array([total]))):
+        i = int(np.argmax(sq > limit))
+        if sq[i] > limit:
+            raise DomainError(f"the squared norm of {name.format(i)} ({sq[i]:.3g}) exceeds "
+                              f"{limit:.3g}: squared sums would overflow")
+
+
 def cell_terms(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
                f: RateFunction) -> np.ndarray:
     """N * f(S / N) for every cell of a stack of class lines.

@@ -16,22 +16,22 @@ transpose, so the column side of the state holds transposed views of the
 row side's arrays.  Step 1 evaluates rate terms through
 ``criterion.cell_terms``.  Step 2 is a replay, not a loop over moves: one
 walk over the sorted moves with plain int class counts settles which are
-legal, then array operations give each mover's line at its turn (its
-rebuilt line plus the earlier opposite-axis moves, added in move order),
-the class lines and sizes each move touches (S and the counts as cumsums
-of the moves' updates), and all deltas of an axis in one call of
-``criterion.line_move``, the routine ``move_delta`` calls with one move.
+legal; one walk over each axis's opposite moves adds their data, in move
+order, to the lines of the movers that follow them; the class lines and
+sizes each move touches are cumsums of the moves' updates, in blocks of at
+most ``REPLAY_BLOCK`` elements; and ``criterion.line_move``, which
+``move_delta`` calls with one move, gives all deltas of an axis at once.
 Every float addition happens in the same order as when the items are moved
 one at a time, so the deltas and labels are those of a sequential loop, bit
-for bit; no temporary block is larger than ``REPLAY_BLOCK`` elements.
+for bit.
 
 The state is read, never written, during a sweep.  It is rebuilt from
 scratch once per restart and once for each sweep that keeps moves, from
 the kept labeling; the rebuild supplies that labeling's criterion (the same
 fsum of the same cell terms as ``criterion_value(block_stats(...))``, which
 cancels any drift of the running sum) and the next sweep's state, so
-``fit`` computes F nowhere else.  The data are checked against the rate
-domain once, when ``fit`` or ``kl_sweep`` is entered.
+``fit`` computes F nowhere else.  The data are checked (rate domain, norms)
+once, when ``fit`` or ``kl_sweep`` is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns.  The starts draw from the
@@ -56,6 +56,7 @@ from .criterion import (  # noqa: F401
     _one_hot,
     block_stats,
     cell_terms,
+    check_norms,
     check_shape,
     check_support,
     criterion_value,
@@ -69,7 +70,7 @@ from .model import DataMatrix, LabelAssignment, derived_rng, derived_seed
 KMEANS_STARTS = 10
 #: a restart stops once a sweep gains at most this fraction of |F| (or 1)
 CONVERGENCE_TOL = 1e-9
-#: elements in the largest temporary block of a sweep's replay
+#: elements in the largest temporary block of ``_touched``
 REPLAY_BLOCK = 1 << 16
 
 
@@ -230,7 +231,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
                 cluster = points[mask]
                 terms[key] = float(((cluster - cluster.mean(axis=0)) ** 2).sum())
             inertia += terms[key]
-        if inertia < best_inertia:
+        if best_labels is None or inertia < best_inertia:
             best_labels, best_inertia = g, inertia
     return best_labels
 
@@ -245,6 +246,7 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
         raise ValueError("K (L) may not exceed the number of rows (columns)")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    check_norms(X)
     g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
     h = _kmeans_labels(np.ascontiguousarray(X.values.T), L, derived_rng(seed, 1), iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
@@ -340,36 +342,20 @@ def _turn_lines(side: _Side, items: np.ndarray, times: np.ndarray,
                 opp: np.ndarray) -> np.ndarray:
     """Each mover's line at its turn: its rebuilt line plus the data of the
     earlier opposite-axis moves ``opp`` (rows time, item, from, to), added
-    class by class in move order with one cumsum per opposite class: the
-    additions a running state makes as each move shifts its item's data out
-    of one class and into another.  Movers and moves are taken in blocks of
-    at most ``REPLAY_BLOCK`` elements that carry each mover's partial sum on
-    to the next block."""
-    out = side.lines[items]
-    for c in range(out.shape[1]):
-        touch = opp[(opp[:, 2] == c) | (opp[:, 3] == c)]
-        if not touch.shape[0]:
-            continue
-        sign = np.where(touch[:, 3] == c, 1.0, -1.0)
-        # earlier touching moves per mover, nondecreasing along the movers
-        need = np.searchsorted(touch[:, 0], times)
-        width = min(touch.shape[0], REPLAY_BLOCK - 1)
-        rows = max(1, REPLAY_BLOCK // (width + 1))
-        for r0 in range(0, items.size, rows):
-            r1 = min(r0 + rows, items.size)
-            upto, col = need[r0:r1], out[r0:r1, c]
-            carry = col.copy()
-            for c0 in range(0, int(upto[-1]), width):
-                c1 = min(c0 + width, int(upto[-1]))
-                block = np.empty((r1 - r0, c1 - c0 + 1))
-                block[:, 0] = carry
-                np.multiply(side.X[np.ix_(items[r0:r1], touch[c0:c1, 1])],
-                            sign[c0:c1], out=block[:, 1:])
-                np.cumsum(block, axis=1, out=block)
-                hit = (upto > c0) & (upto <= c1)
-                col[hit] = block[hit, upto[hit] - c0]
-                carry = block[:, -1]
-    return out
+    in move order: the additions a running state makes as each move shifts
+    its item's data out of one class and into another.  The movers are
+    sorted by their turn, so each opposite move reaches a suffix of them;
+    the walk gathers the moved item's data once for that suffix and stops
+    at the first move that no mover follows."""
+    out = side.lines[items].T.copy()
+    first = np.searchsorted(times, opp[:, 0])
+    for r, j, a, k in zip(first.tolist(), *opp[:, 1:].T.tolist()):
+        if r == items.size:
+            break
+        x = side.X[items[r:], j]
+        out[a, r:] -= x
+        out[k, r:] += x
+    return out.T
 
 
 def _touched(rows: _Side, moves: np.ndarray, lines: list):
@@ -470,6 +456,7 @@ def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
              min_frac: float = 0.0):
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
     check_support(X, f)
+    check_norms(X)
     sides, f0 = _sides(X, labels, f, min_frac)
     new_labels, _, f1, _ = _sweep(X, labels, sides, f0, f, min_frac)
     return new_labels, f1 - f0
@@ -501,30 +488,29 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     """
     f = rate_function(config.rate)
     check_support(X, f)
+    check_norms(X)
     min_rows = _min_count(config.min_frac, X.m)
     min_cols = _min_count(config.min_frac, X.n)
+    for k, classes, floor, size, items in (("K", config.K, min_rows, "m", X.m),
+                                           ("L", config.L, min_cols, "n", X.n)):
+        if classes * floor > items:
+            raise ValueError(f"{k} = {classes} classes of at least {floor} items "
+                             f"(min_frac {config.min_frac}) exceed {size} = {items}")
     best: FitResult | None = None
     for r in range(config.restarts):
         if r == 0 and init is not None:
             labels = init
         else:
-            labels = kmeans_init(
-                X, config.K, config.L,
-                seed=derived_seed(config.seed, r),
-                iters=config.kmeans_iters,
-            )
+            labels = kmeans_init(X, config.K, config.L, iters=config.kmeans_iters,
+                                 seed=derived_seed(config.seed, r))
         if r > 0:
-            labels = _perturb(
-                labels, derived_rng(config.seed, r, 1), 0.2, min_rows, min_cols
-            )
+            labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2,
+                              min_rows, min_cols)
         try:
             sides, f0 = _sides(X, labels, f, config.min_frac)
         except PartitionError as exc:
             raise PartitionError(f"restart {r}: {exc}") from exc
-        value = f0
-        trajectory: list[float] = []
-        moves = 0
-        converged = False
+        value, trajectory, moves, converged = f0, [], 0, False
         for _ in range(config.max_sweeps):
             labels, sides, final, kept = _sweep(X, labels, sides, f0, f,
                                                 config.min_frac)
@@ -536,14 +522,8 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
                 converged = True
                 break
             f0 = final
-        result = FitResult(
-            labels=labels,
-            criterion=final,
-            sweep_trajectory=trajectory,
-            restart_index=r,
-            converged=converged,
-            moves_applied=moves,
-        )
+        result = FitResult(labels, final, trajectory, restart_index=r,
+                           converged=converged, moves_applied=moves)
         if best is None or result.criterion > best.criterion:
             best = result
     return best

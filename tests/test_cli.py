@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,36 @@ class TestFit:
         assert code == 4
         err = capsys.readouterr().err
         assert "row 1, column 0" in err and "2.0" in err
+
+    @pytest.mark.parametrize("value, k, rate", [(1e200, 1, "gaussian"),
+                                                (1e160, 2, "poisson")])
+    def test_entry_whose_square_overflows_is_domain_error(self, tmp_path, capsys,
+                                                          value, k, rate):
+        values = np.ones((10, 6))
+        values[3, 2] = value
+        path = tmp_path / "X.csv"
+        matrixio.write_matrix_csv(DataMatrix(values), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "fit", "--input", str(path), "--output", str(tmp_path / "o"),
+                "--K", str(k), "--L", str(k), "--rate", rate,
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "squared norm of row 3" in err and "Traceback" not in err
+
+    def test_unmeetable_class_floor_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "X.csv"
+        values = np.random.default_rng(0).standard_normal((10, 6))
+        matrixio.write_matrix_csv(DataMatrix(values), path)
+        code = main([
+            "fit", "--input", str(path), "--output", str(tmp_path / "o"),
+            "--K", "3", "--L", "2", "--rate", "gaussian", "--min-frac", "0.4",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "K = 3" in err and "min_frac 0.4" in err and "m = 10" in err
 
     def test_unknown_rate_is_usage_error(self, tmp_path):
         inp = write_planted(tmp_path)

@@ -200,6 +200,41 @@ class TestFit:
         with pytest.raises(DomainError, match=r"2\.0 at row 1, column 0"):
             fit(X, FitConfig(K=2, L=2, rate="bernoulli"))
 
+    @pytest.mark.parametrize("K, L, axis, size", [(3, 2, "K", "m = 10"),
+                                                  (2, 3, "L", "n = 8")])
+    def test_infeasible_class_floor_rejected_at_entry(self, K, L, axis, size):
+        """Three classes of at least ceil(0.4 * 10) = 4 rows (or of 4 of 8
+        columns) cannot exist, whatever the start."""
+        X = bc.DataMatrix(np.random.default_rng(16).standard_normal((10, 8)))
+        with pytest.raises(ValueError, match=f"{axis} = 3 classes") as info:
+            fit(X, FitConfig(K=K, L=L, rate="gaussian", min_frac=0.4))
+        assert "min_frac 0.4" in str(info.value) and size in str(info.value)
+        assert not isinstance(info.value, PartitionError)
+
+    @pytest.mark.parametrize("at, value, name", [
+        ((3, 2), 1e160, "row 3"),
+        # every row's squared norm (1e306) is below the limit (2.2e306),
+        # column 4's (1e307) is not
+        ((slice(None), 4), 1e153, "column 4"),
+    ])
+    def test_entries_whose_squares_overflow_named_at_entry(self, at, value, name):
+        values = np.ones((10, 6))
+        values[at] = value
+        X = bc.DataMatrix(values)
+        with pytest.raises(DomainError, match=name):
+            fit(X, FitConfig(K=2, L=2, rate="gaussian"))
+        with pytest.raises(DomainError, match=name):
+            kmeans_init(X, 2, 2, seed=0)
+
+    def test_entries_just_below_the_norm_limit_fit(self):
+        """Squared sums up to the limit stay finite through k-means and the
+        sweeps: no overflow warning, a finite criterion."""
+        values = np.random.default_rng(17).poisson(3.0, (12, 9)) + 1.0
+        limit = np.finfo(np.float64).max / (8 * 12)
+        values *= np.sqrt(0.999 * limit) / np.linalg.norm(values)
+        result = fit(bc.DataMatrix(values), FitConfig(K=3, L=2, rate="gaussian"))
+        assert np.isfinite(result.criterion)
+
     @pytest.mark.parametrize("rate", ["gaussian", "poisson"])
     def test_criterion_and_trajectory_match_a_replay(self, rate):
         """The criterion and trajectory equal, with ==, those of replaying the

@@ -21,6 +21,7 @@ import blockcluster as bc  # noqa: E402
 from blockcluster import evaluation, matrixio, optimizer  # noqa: E402
 from blockcluster.model import derived_rng  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
+    TIE_TOL,
     block_stats,
     cell_terms,
     criterion_value,
@@ -32,6 +33,19 @@ from blockcluster.criterion import (  # noqa: E402
 REL = 1e-9
 
 
+def draw_values(draw, kind, m, n):
+    """(values, rng): m x n data inside the ``kind`` rate's domain, and the
+    generator that made them, for drawing labels next."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        values = rng.standard_normal((m, n)) * draw(st.sampled_from([1.0, 100.0]))
+    elif kind == "poisson":
+        values = rng.poisson(3.0, (m, n)).astype(float)
+    else:
+        values = (rng.random((m, n)) < 0.4).astype(float)
+    return values, rng
+
+
 @st.composite
 def problems(draw):
     """(X, labels, f, min_frac): small data inside the rate's domain and a
@@ -40,13 +54,7 @@ def problems(draw):
     m, n = draw(st.integers(4, 12)), draw(st.integers(4, 12))
     K, L = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     min_frac = draw(st.sampled_from([0.0, 0.1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "gaussian":
-        values = rng.standard_normal((m, n)) * draw(st.sampled_from([1.0, 100.0]))
-    elif kind == "poisson":
-        values = rng.poisson(3.0, (m, n)).astype(float)
-    else:
-        values = (rng.random((m, n)) < 0.4).astype(float)
+    values, rng = draw_values(draw, kind, m, n)
     # shuffled round-robin classes hold at least floor(m / K) items, which
     # meets the 10% floor at these sizes
     g = rng.permutation(np.arange(m) % K)
@@ -131,31 +139,61 @@ def test_running_criterion_is_exact(problem):
         assert new is labels and new_sides is sides and f1 == f0
 
 
+@st.composite
+def fit_problems(draw):
+    """(X, init, f, min_frac) for a whole fit: up to 39 x 39 data inside
+    the rate's domain, K, L <= 4 and a start that meets the floor."""
+    kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
+    m, n = draw(st.integers(4, 39)), draw(st.integers(4, 39))
+    K, L = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    min_frac = draw(st.sampled_from([0.0, 0.1]))
+    values, rng = draw_values(draw, kind, m, n)
+    init = bc.LabelAssignment(rng.permutation(np.arange(m) % K),
+                              rng.permutation(np.arange(n) % L), K, L)
+    return bc.DataMatrix(values), init, rate_function(kind), min_frac
+
+
+@given(fit_problems())
+def test_converged_fit_is_locally_optimal(problem):
+    """At a converged fit no legal single move, checked by brute force
+    through ``move_delta``, gains more than the convergence tolerance."""
+    X, init, f, min_frac = problem
+    config = optimizer.FitConfig(K=init.K, L=init.L, rate=f.kind, min_frac=min_frac)
+    result = optimizer.fit(X, config, init=init)
+    event("converged" if result.converged else "stopped at max_sweeps")
+    if not result.converged:
+        return
+    labels = result.labels
+    stats = block_stats(X, labels)
+    tol = max(TIE_TOL, optimizer.CONVERGENCE_TOL * abs(result.criterion))
+    for axis, own, counts, size in (("row", labels.row_labels, labels.row_counts(), X.m),
+                                    ("col", labels.col_labels, labels.col_counts(), X.n)):
+        floor = optimizer._min_count(min_frac, size)
+        for i in range(size):
+            if counts[own[i]] <= floor:
+                continue
+            for k in range(counts.size):
+                if k != own[i]:
+                    assert move_delta(stats, X, labels, axis, i, k, f) <= tol
+
+
 # -- the sweep's replay against the one-move-at-a-time apply loop ---------
 
-def sequential_sweep(X, labels, f, min_frac):
-    """The sweep as a loop that applies one move at a time to a running
-    state, updating the opposite side's lines and the cached cell terms of
-    the two class lines each move touches (the reference the replay must
-    reproduce bit for bit).  Returns the applied moves (axis, item, from,
-    to), their deltas, the running criterion, the kept prefix, the labels
-    kept and the number of moves skipped as illegal."""
-    sides, f0 = optimizer._sides(X, labels, f, min_frac)
-    moves = []
-    for axis, side in enumerate(sides):
-        target, delta = side.best_moves()
-        moves += [(delta[i], axis, i, target[i])
-                  for i in np.flatnonzero(target != side.labels)]
-    moves.sort(key=lambda t: (-t[0], t[1], t[2]))
-
+def sequential_apply(sides, moves, f):
+    """Apply the (axis, item, to) ``moves`` one at a time to a running copy
+    of the rebuilt state ``sides``, updating the opposite side's lines and
+    the cached cell terms of the two class lines each move touches, and
+    skipping a move that would shrink its class below the floor (the
+    reference the replay must reproduce bit for bit).  Returns the applied
+    moves (axis, item, from, to), their deltas and the number skipped."""
     rows, cols = sides
     R, C, S = rows.lines.copy(), cols.lines.T.copy(), rows.S.copy()
     rcnt, ccnt, cells = rows.counts.copy(), cols.counts.copy(), rows.cells.copy()
-    g, h = labels.row_labels.copy(), labels.col_labels.copy()
-    state = [(X.values, g, R, C, S, rcnt, ccnt, cells, rows.min_count),
-             (X.values.T, h, C.T, R.T, S.T, ccnt, rcnt, cells.T, cols.min_count)]
+    g, h = rows.labels.copy(), cols.labels.copy()
+    state = [(rows.X, g, R, C, S, rcnt, ccnt, cells, rows.min_count),
+             (cols.X, h, C.T, R.T, S.T, ccnt, rcnt, cells.T, cols.min_count)]
     applied, deltas, skipped = [], [], 0
-    for _, axis, i, k in moves:
+    for axis, i, k in moves:
         data, lab, lines, cross, S_, counts, other, cached, floor = state[axis]
         a = lab[i]
         if counts[a] <= floor:
@@ -175,6 +213,23 @@ def sequential_sweep(X, labels, f, min_frac):
         cached[[a, k]] = after
         lab[i] = k
         applied.append([axis, int(i), int(a), int(k)])
+    return applied, deltas, skipped
+
+
+def sequential_sweep(X, labels, f, min_frac):
+    """The sweep as a loop that applies one move at a time (see
+    ``sequential_apply``).  Returns the applied moves (axis, item, from,
+    to), their deltas, the running criterion, the kept prefix, the labels
+    kept and the number of moves skipped as illegal."""
+    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    moves = []
+    for axis, side in enumerate(sides):
+        target, delta = side.best_moves()
+        moves += [(delta[i], axis, i, target[i])
+                  for i in np.flatnonzero(target != side.labels)]
+    moves.sort(key=lambda t: (-t[0], t[1], t[2]))
+    applied, deltas, skipped = sequential_apply(
+        sides, [move[1:] for move in moves], f)
 
     running = [f0]
     for delta in deltas:
@@ -196,13 +251,7 @@ def replay_problems(draw):
     min_frac = draw(st.sampled_from([0.0, 0.1, 0.3]))
     sizes = st.sampled_from([1, 2] if min_frac == 0.3 else [1, 2, 3, 4])
     K, L = draw(sizes), draw(sizes)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "gaussian":
-        values = rng.standard_normal((m, n)) * draw(st.sampled_from([1.0, 100.0]))
-    elif kind == "poisson":
-        values = rng.poisson(3.0, (m, n)).astype(float)
-    else:
-        values = (rng.random((m, n)) < 0.4).astype(float)
+    values, rng = draw_values(draw, kind, m, n)
     g = rng.permutation(np.arange(m) % K)
     h = rng.permutation(np.arange(n) % L)
     labels = bc.LabelAssignment(g, h, K, L)
@@ -253,6 +302,45 @@ def test_replay_matches_sequential_apply(problem, block):
     axes = {axis for axis, *_ in applied}
     event(f"axes moved: {sorted(axes)}")
     event("a move skipped as illegal" if skipped else "no move skipped")
+
+
+#: row and column moves, as (axis, item, target); each ordering below puts
+#: the replay's walks over the opposite moves in one situation
+WALK_ROWS = [(0, 0, 1), (0, 4, 2), (0, 7, 0), (0, 2, 0)]
+WALK_COLS = [(1, 1, 2), (1, 5, 0), (1, 3, 1)]
+WALK_ORDERS = {
+    # every opposite move after the last row mover, so the row walk stops
+    # at once; every column mover after all opposite moves
+    "rows_then_cols": WALK_ROWS + WALK_COLS,
+    "cols_then_rows": WALK_COLS + WALK_ROWS,
+    # the row walk gives each column move a shorter suffix of the movers
+    # and stops at the last one; the column walk's suffixes shrink to the
+    # last mover alone
+    "interleaved": (WALK_ROWS[:2] + WALK_COLS[:1] + WALK_ROWS[2:3]
+                    + WALK_COLS[1:2] + WALK_ROWS[3:] + WALK_COLS[2:]),
+    # one axis without movers, the other without opposite moves
+    "rows_only": WALK_ROWS,
+    "cols_only": WALK_COLS,
+}
+
+
+@pytest.mark.parametrize("block", [2, optimizer.REPLAY_BLOCK])
+@pytest.mark.parametrize("order", WALK_ORDERS)
+def test_replay_walk_edge_cases_match_sequential_apply(order, block):
+    """Crafted move lists through ``_legal`` and ``_replay`` against the
+    one-move-at-a-time loop: the deltas are equal bit for bit."""
+    rng = np.random.default_rng(18)
+    X = bc.DataMatrix(rng.standard_normal((9, 7)) * 100.0)
+    labels = bc.LabelAssignment(np.arange(9) % 3, np.arange(7) % 3, 3, 3)
+    f = rate_function("gaussian")
+    sides, _ = optimizer._sides(X, labels, f, 0.0)
+    axis, item, target = (np.array(v) for v in zip(*WALK_ORDERS[order]))
+    applied, deltas, skipped = sequential_apply(sides, WALK_ORDERS[order], f)
+    moves = optimizer._legal(sides, axis, item, target)
+    assert moves.tolist() == applied and skipped == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "REPLAY_BLOCK", block)
+        assert optimizer._replay(sides, moves).tolist() == deltas
 
 
 @pytest.mark.parametrize("seed", range(6))
