@@ -102,12 +102,15 @@ def rate_function(kind: str) -> RateFunction:
 class BlockStats:
     """Per-bicluster sums and sizes for a labeled matrix.
 
-    N_kl = row_counts[k] * col_counts[l] by construction.
+    N_kl = row_counts[k] * col_counts[l] by construction.  ``R`` (m, L)
+    holds each row's sums against the column classes; S adds them up by
+    row class.
     """
 
     S: np.ndarray
     row_counts: np.ndarray
     col_counts: np.ndarray
+    R: np.ndarray
 
     @property
     def N(self) -> np.ndarray:
@@ -142,7 +145,7 @@ def block_stats(X: DataMatrix, labels: LabelAssignment) -> BlockStats:
     S = np.zeros((labels.K, labels.L))
     np.add.at(S, labels.row_labels, R)
     return BlockStats(
-        S=S, row_counts=labels.row_counts(), col_counts=labels.col_counts()
+        S=S, row_counts=labels.row_counts(), col_counts=labels.col_counts(), R=R
     )
 
 

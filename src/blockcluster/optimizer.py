@@ -17,21 +17,20 @@ row side's arrays.  Step 1 evaluates rate terms through
 ``criterion.cell_terms``.  Step 2 is a replay, not a loop over moves: one
 walk over the sorted moves with plain int class counts settles which are
 legal; one walk over each axis's opposite moves adds their data, in move
-order, to the lines of the movers that follow them; the class lines and
-sizes each move touches are cumsums of the moves' updates, in blocks of at
-most ``REPLAY_BLOCK`` elements; and ``criterion.line_move``, which
-``move_delta`` calls with one move, gives all deltas of an axis at once.
-Every float addition happens in the same order as when the items are moved
-one at a time, so the deltas and labels are those of a sequential loop, bit
-for bit.
+order, to the lines of the movers that follow them; one cumsum of the
+moves' updates over the whole sweep gives the class lines and sizes each
+move touches; and ``criterion.line_move``, which ``move_delta`` calls with
+one move, gives all deltas of an axis at once.  Every float addition
+happens in the same order as when the items are moved one at a time, so
+the deltas and labels are those of a sequential loop, bit for bit.
 
 The state is read, never written, during a sweep.  It is rebuilt from
 scratch once per restart and once for each sweep that keeps moves, from
-the kept labeling; the rebuild supplies that labeling's criterion (the same
-fsum of the same cell terms as ``criterion_value(block_stats(...))``, which
-cancels any drift of the running sum) and the next sweep's state, so
-``fit`` computes F nowhere else.  The data are checked (rate domain, norms)
-once, when ``fit`` or ``kl_sweep`` is entered.
+the kept labeling: ``criterion.block_stats`` plus the column lines, and
+``criterion.criterion_value`` for that labeling's exact F, which cancels
+any drift of the running sum, so ``fit`` computes F nowhere else.  The
+data are checked (rate domain, norms) once, when ``fit`` or ``kl_sweep``
+is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns.  The starts draw from the
@@ -48,16 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# a fit calls neither block_stats nor criterion_value; both stay attributes
-# of this module, where bench/spans.py counts calls to them
-from .criterion import (  # noqa: F401
+from .criterion import (
     TIE_TOL,
     RateFunction,
     _one_hot,
     block_stats,
     cell_terms,
     check_norms,
-    check_shape,
     check_support,
     criterion_value,
     line_move,
@@ -70,8 +66,6 @@ from .model import DataMatrix, LabelAssignment, derived_rng, derived_seed
 KMEANS_STARTS = 10
 #: a restart stops once a sweep gains at most this fraction of |F| (or 1)
 CONVERGENCE_TOL = 1e-9
-#: elements in the largest temporary block of ``_touched``
-REPLAY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -299,25 +293,23 @@ class _Side:
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
            min_frac: float):
-    """The row and column sides of a state rebuilt from scratch, and F (the
-    same fsum of the same cell terms as ``criterion_value(block_stats(...))``)."""
-    check_shape(X, labels)
-    g, h = labels.row_labels.copy(), labels.col_labels.copy()
-    rcnt, ccnt = labels.row_counts(), labels.col_counts()
+    """The row and column sides of a state rebuilt from scratch, and F:
+    ``block_stats`` gives S and the row lines, one more matmul the column
+    lines, and ``criterion_value`` F."""
+    stats = block_stats(X, labels)
+    rcnt, ccnt = stats.row_counts, stats.col_counts
     min_rows = _min_count(min_frac, labels.m)
     min_cols = _min_count(min_frac, labels.n)
     if rcnt.min() < min_rows or ccnt.min() < min_cols:
         raise PartitionError(
             "input labeling violates the minimum class-size constraint"
         )
-    R = X.values @ _one_hot(h, labels.L)  # (m, L) row sums by column class
+    g, h = labels.row_labels.copy(), labels.col_labels.copy()
     C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
-    S = np.zeros((labels.K, labels.L))
-    np.add.at(S, g, R)
-    cells = cell_terms(S, rcnt, ccnt, f)
-    rows = _Side(X.values, g, R, S, rcnt, ccnt, cells, min_rows, f)
+    S, cells = stats.S, cell_terms(stats.S, rcnt, ccnt, f)
+    rows = _Side(X.values, g, stats.R, S, rcnt, ccnt, cells, min_rows, f)
     cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, min_cols, f)
-    return (rows, cols), math.fsum(cells.ravel().tolist())
+    return (rows, cols), criterion_value(stats, f)
 
 
 def _legal(sides, axis: np.ndarray, item: np.ndarray, target: np.ndarray):
@@ -361,46 +353,27 @@ def _turn_lines(side: _Side, items: np.ndarray, times: np.ndarray,
 def _touched(rows: _Side, moves: np.ndarray, lines: list):
     """Per axis, for each of its moves: the two class lines (S[a], S[k]) it
     touches and their sizes just before it, and the opposite class sizes.
-    S runs as a cumsum of the moves' -line/+line updates in move order and
-    the class counts as a cumsum of -1/+1, in blocks of moves that carry S
-    and the counts on; a block holds at most ``REPLAY_BLOCK`` elements of S
-    (two copies of S where S alone is larger)."""
-    S, counts = rows.S, [rows.counts, rows.other_counts]
-    K, L = S.shape
-    axis, src, dst = moves[:, 0], moves[:, 2], moves[:, 3]
-    where = [np.flatnonzero(axis == s) for s in (0, 1)]
-    width = [L, K]
-    pairs = [np.empty((w.size, 2, n)) for w, n in zip(where, width)]
-    sizes = [np.empty((w.size, 2), dtype=np.int64) for w in where]
-    others = [np.empty((w.size, n), dtype=np.int64) for w, n in zip(where, width)]
-    step = max(1, REPLAY_BLOCK // (K * L) - 1)
-    for t0 in range(0, axis.size, step):
-        t1 = min(t0 + step, axis.size)
-        # entry t - t0 of run (of cnt) holds S (the class sizes) before move t
-        run = np.zeros((t1 - t0 + 1, K, L))
-        run[0] = S
-        cnt = [np.zeros((t1 - t0 + 1, c.size), dtype=np.int64) for c in counts]
-        for c, start in zip(cnt, counts):
-            c[0] = start
-        views = [run, run.transpose(0, 2, 1)]
-        spans = [slice(*np.searchsorted(w, [t0, t1])) for w in where]
-        for s, span in enumerate(spans):
-            t = where[s][span]
-            views[s][t - t0 + 1, src[t]] = -lines[s][span]
-            views[s][t - t0 + 1, dst[t]] = lines[s][span]
-            cnt[s][t - t0 + 1, src[t]] = -1
-            cnt[s][t - t0 + 1, dst[t]] = 1
-        np.cumsum(run, axis=0, out=run)
-        for c in cnt:
-            np.cumsum(c, axis=0, out=c)
-        for s, span in enumerate(spans):
-            t = where[s][span]
-            pairs[s][span, 0] = views[s][t - t0, src[t]]
-            pairs[s][span, 1] = views[s][t - t0, dst[t]]
-            sizes[s][span, 0] = cnt[s][t - t0, src[t]]
-            sizes[s][span, 1] = cnt[s][t - t0, dst[t]]
-            others[s][span] = cnt[1 - s][t - t0]
-        S, counts = run[-1], [c[-1] for c in cnt]
+    S runs as one cumsum of the moves' -line/+line updates in move order,
+    and the class sizes, rows then columns, as one int cumsum of -1/+1.
+    The running S holds (moves + 1) K L floats; a sweep applies at most one
+    move per mover, and its scoring already holds several (movers, K, L)
+    arrays (``best_moves``), so the cumsum never raises a sweep's peak."""
+    K, L = rows.S.shape
+    # entry t of run (of cnt) holds S (the class sizes) before move t
+    run = np.zeros((moves.shape[0] + 1, K, L))
+    run[0] = rows.S
+    cnt = np.zeros((moves.shape[0] + 1, K + L), dtype=np.int64)
+    cnt[0, :K], cnt[0, K:] = rows.counts, rows.other_counts
+    views = [(run, cnt[:, :K]), (run.transpose(0, 2, 1), cnt[:, K:])]
+    moved = [np.flatnonzero(moves[:, 0] == s) for s in (0, 1)]
+    for (S, c), t, line in zip(views, moved, lines):
+        S[t[:, None] + 1, moves[t, 2:]] = np.stack([-line, line], axis=1)
+        c[t[:, None] + 1, moves[t, 2:]] = [-1, 1]
+    np.cumsum(run, axis=0, out=run)
+    np.cumsum(cnt, axis=0, out=cnt)
+    pairs = [S[t[:, None], moves[t, 2:]] for (S, _), t in zip(views, moved)]
+    sizes = [c[t[:, None], moves[t, 2:]] for (_, c), t in zip(views, moved)]
+    others = [c[t] for (_, c), t in zip(views[::-1], moved)]
     return pairs, sizes, others
 
 

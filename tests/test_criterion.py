@@ -121,6 +121,9 @@ class TestBlockStats:
         S, N = brute_force_stats(X, labels)
         assert np.allclose(stats.S, S)
         assert np.array_equal(stats.N, N)
+        R = [[X.values[i, labels.col_labels == l].sum() for l in range(3)]
+             for i in range(6)]
+        assert np.allclose(stats.R, R)
 
     def test_dimension_mismatch(self):
         X = bc.DataMatrix(np.zeros((3, 4)))

@@ -264,38 +264,35 @@ class TestFit:
         if rate == "gaussian":
             assert result.sweep_trajectory[-1] != result.criterion
 
-    def test_no_block_stats_and_one_rebuild_per_kept_sweep(self, monkeypatch):
-        """A fit never calls block_stats: the state is rebuilt once per
-        restart and once per sweep that keeps moves, and each rebuild
-        supplies F and the next sweep's state."""
+    def test_one_block_stats_per_rebuild_and_one_rebuild_per_kept_sweep(
+            self, monkeypatch):
+        """The state is rebuilt once per restart and once per sweep that
+        keeps moves; each rebuild calls block_stats and criterion_value
+        once, and a fit calls them nowhere else."""
         rng = np.random.default_rng(15)
         X = bc.DataMatrix(rng.standard_normal((40, 30)))
-        calls, rebuilds, kept = [], [], []
-        real_stats, real_sides = optimizer.block_stats, optimizer._sides
-        real_sweep = optimizer._sweep
+        calls = {"block_stats": [], "criterion_value": [], "_sides": [], "_sweep": []}
 
-        def stats_spy(*args):
-            calls.append(1)
-            return real_stats(*args)
+        def spy(name):
+            real = getattr(optimizer, name)
 
-        def sides_spy(*args):
-            rebuilds.append(1)
-            return real_sides(*args)
+            def wrapped(*args):
+                out = real(*args)
+                calls[name].append(out)
+                return out
+            return wrapped
 
-        def sweep_spy(*args):
-            out = real_sweep(*args)
-            kept.append(out[3] > 0)
-            return out
-
-        monkeypatch.setattr(optimizer, "block_stats", stats_spy)
-        monkeypatch.setattr(optimizer, "_sides", sides_spy)
-        monkeypatch.setattr(optimizer, "_sweep", sweep_spy)
+        for name in calls:
+            monkeypatch.setattr(optimizer, name, spy(name))
         result = fit(X, FitConfig(K=3, L=3, rate="gaussian", restarts=2, seed=5))
+        kept = [out[3] > 0 for out in calls["_sweep"]]
         assert len(kept) >= 4 and sum(kept) >= 2
-        assert len(calls) == 0
-        assert len(rebuilds) == sum(kept) + 2
+        rebuilds = sum(kept) + 2
+        assert len(calls["_sides"]) == rebuilds
+        assert len(calls["block_stats"]) == len(calls["criterion_value"]) == rebuilds
+        assert [f for _, f in calls["_sides"]] == calls["criterion_value"]
         assert result.criterion == criterion_value(
-            real_stats(X, result.labels), rate_function("gaussian")
+            block_stats(X, result.labels), rate_function("gaussian")
         )
 
     def test_init_of_wrong_shape_rejected(self):

@@ -291,14 +291,11 @@ def check_replay_matches_sequential(X, labels, f, min_frac):
     return applied, skipped
 
 
-@given(replay_problems(), st.sampled_from([2, 3, 5, optimizer.REPLAY_BLOCK]))
-def test_replay_matches_sequential_apply(problem, block):
+@given(replay_problems())
+def test_replay_matches_sequential_apply(problem):
     """Per-move deltas, running criterion, kept prefix and labels of the
-    replay equal those of the one-move-at-a-time loop, bit for bit, also
-    with blocks so small that every block carries partial sums on."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "REPLAY_BLOCK", block)
-        applied, skipped = check_replay_matches_sequential(*problem)
+    replay equal those of the one-move-at-a-time loop, bit for bit."""
+    applied, skipped = check_replay_matches_sequential(*problem)
     axes = {axis for axis, *_ in applied}
     event(f"axes moved: {sorted(axes)}")
     event("a move skipped as illegal" if skipped else "no move skipped")
@@ -324,9 +321,8 @@ WALK_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("block", [2, optimizer.REPLAY_BLOCK])
 @pytest.mark.parametrize("order", WALK_ORDERS)
-def test_replay_walk_edge_cases_match_sequential_apply(order, block):
+def test_replay_walk_edge_cases_match_sequential_apply(order):
     """Crafted move lists through ``_legal`` and ``_replay`` against the
     one-move-at-a-time loop: the deltas are equal bit for bit."""
     rng = np.random.default_rng(18)
@@ -338,9 +334,7 @@ def test_replay_walk_edge_cases_match_sequential_apply(order, block):
     applied, deltas, skipped = sequential_apply(sides, WALK_ORDERS[order], f)
     moves = optimizer._legal(sides, axis, item, target)
     assert moves.tolist() == applied and skipped == 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "REPLAY_BLOCK", block)
-        assert optimizer._replay(sides, moves).tolist() == deltas
+    assert optimizer._replay(sides, moves).tolist() == deltas
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -351,10 +345,8 @@ def test_replay_skips_illegal_moves_as_the_loop_does(seed):
     rng = np.random.default_rng(seed)
     X = bc.DataMatrix(rng.standard_normal((20, 20)))
     labels = bc.LabelAssignment(np.arange(20) % 2, np.arange(20) % 2, 2, 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "REPLAY_BLOCK", 2)
-        _, skipped = check_replay_matches_sequential(
-            X, labels, rate_function("gaussian"), 0.45)
+    _, skipped = check_replay_matches_sequential(
+        X, labels, rate_function("gaussian"), 0.45)
     assert skipped > 0
 
 
