@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -255,13 +256,13 @@ class TailBoundInput:
 
     def __post_init__(self):
         for name in ("m", "n", "K", "L", "T_n"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            if not 1 <= getattr(self, name) <= 2**53:
+                raise ValueError(f"{name} must be an integer in [1, 2**53]")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         for name in ("tau", "sigma", "c_lip"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         cap = self.delta_cap()
         if not 0.0 < self.delta < cap:
             raise ValueError(
@@ -270,26 +271,30 @@ class TailBoundInput:
             )
 
     def delta_cap(self) -> float:
-        kl2 = min(self.K**2, self.L**2)
-        return min(
-            1.0, 8.0 * self.c_lip * self.sigma * kl2 / (self.tau * self.epsilon**2)
-        )
+        kl2 = min(self.K, self.L) ** 2
+        return float(min(1, 8 * Fraction(self.c_lip) * Fraction(self.sigma) * kl2
+                         / (Fraction(self.tau) * Fraction(self.epsilon) ** 2)))
 
 
 def gaussian_tail_bound(inp: TailBoundInput) -> float:
     """min(1, 2 K^(m+1) L^(n+1) exp{-T_n tau^2 eps^4 delta^2 /
-    (256 c^2 sigma^2 min(K^4, L^4))}), evaluated in log space."""
-    kl4 = min(inp.K**4, inp.L**4)
+    (256 c^2 sigma^2 min(K^4, L^4))}), evaluated in log space.  The exponent
+    and ``delta_cap`` are exact rationals rounded once, so no input in range
+    overflows or divides by an underflowed zero."""
     exponent = (
-        inp.T_n * inp.tau**2 * inp.epsilon**4 * inp.delta**2
-        / (256.0 * inp.c_lip**2 * inp.sigma**2 * kl4)
+        inp.T_n * Fraction(inp.tau) ** 2 * Fraction(inp.epsilon) ** 4
+        * Fraction(inp.delta) ** 2
+        / (256 * Fraction(inp.c_lip) ** 2 * Fraction(inp.sigma) ** 2
+           * min(inp.K, inp.L) ** 4)
     )
     log_bound = (
         math.log(2.0)
         + (inp.m + 1) * math.log(inp.K)
         + (inp.n + 1) * math.log(inp.L)
-        - exponent
     )
+    if exponent > log_bound + 800:  # exp of anything below -746 is 0
+        return 0.0
+    log_bound -= float(exponent)
     if log_bound >= 0.0:
         return 1.0
     return math.exp(log_bound)

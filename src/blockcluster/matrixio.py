@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -34,8 +35,21 @@ def read_matrix_csv(path) -> DataMatrix:
         float(first.split(",")[0])
     except ValueError:
         skip = 1
-    values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    return DataMatrix(values)
+    return DataMatrix(_loadtxt(path, "data rows", delimiter=",", skiprows=skip, ndmin=2))
+
+
+def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt``, with a ValueError naming the file for text it cannot
+    parse and for a file without data, where loadtxt would warn instead."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            values = np.loadtxt(path, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not values.size:
+        raise ValueError(f"{path}: no {what}")
+    return values
 
 
 def write_matrix_binary(X: DataMatrix, path) -> None:
@@ -69,5 +83,4 @@ def write_labels_csv(labels: np.ndarray, path) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return labels
+    return _loadtxt(path, "labels", dtype=np.int64, ndmin=1)

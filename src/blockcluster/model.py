@@ -13,6 +13,7 @@ Conventions
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -208,7 +209,7 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
         raise ValueError("n must be positive")
     base = _BASE_MEANS[design]
     if design in ("poisson", "bernoulli"):
-        rho = float(b) / np.sqrt(n)
+        rho = float(b) / math.sqrt(n)
         return BlockModelSpec(
             K=2, L=3, p=_DESIGN_P, q=_DESIGN_Q, M=rho * base, rho=rho, family=design
         )

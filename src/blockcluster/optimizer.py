@@ -459,6 +459,9 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     ``init`` overrides the restart-0 initialization (used when several rate
     functions must share one k-means start).
     """
+    if init is not None and (init.K, init.L) != (config.K, config.L):
+        raise ValueError(f"init has (K, L) = ({init.K}, {init.L}), but the config "
+                         f"has ({config.K}, {config.L})")
     f = rate_function(config.rate)
     check_support(X, f)
     check_norms(X)

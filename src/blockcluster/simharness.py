@@ -84,6 +84,29 @@ class SimPlan:
                 raise ValueError(
                     f"method {meth} is not applicable to the {self.design} design"
                 )
+        for cell in self.cells():
+            self._check_cell(*cell)
+
+    def _check_cell(self, n: int, gamma: float, b: float) -> None:
+        """Raise ValueError, naming the plan key, unless the design can make
+        this cell's round(gamma * n) x n matrix and fit its classes to it."""
+        cell = f"in cell (n = {n}, gamma = {gamma}, b = {b})"
+        if not math.isfinite(b):
+            raise ValueError(f"b_values: b is not finite {cell}")
+        try:
+            m = gamma * n
+        except OverflowError as exc:  # n past the float range
+            raise ValueError(f"n_values: {exc} {cell}") from None
+        try:
+            spec = model.design_spec(self.design, b, n)
+        except ValueError as exc:
+            raise ValueError(f"{'n_values' if n < 1 else 'b_values'}: {exc} {cell}") from None
+        if n < spec.L:
+            raise ValueError(f"n_values: n is below the {self.design} design's "
+                             f"L = {spec.L} column classes {cell}")
+        if not (math.isfinite(m) and round(m) >= spec.K):
+            raise ValueError(f"gamma_values: m = round(gamma * n) is not at least the "
+                             f"{self.design} design's K = {spec.K} row classes {cell}")
 
     def cells(self) -> list[tuple[int, float, float]]:
         return [

@@ -67,6 +67,24 @@ class TestFit:
         assert code == 2
         assert "header declares" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        "c0,c1\n", "\n\n\n", matrixio._HEADER.pack(matrixio.MAGIC, 2, 2) + bytes(32),
+    ], ids=["header_only", "blank_lines", "binary_file"])
+    def test_csv_without_data_rows_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "X.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "fit", "--input", str(path), "--output", str(tmp_path / "o"),
+                "--K", "1", "--L", "1", "--rate", "gaussian",
+            ])
+        assert code == 2
+        assert f"{path}: no data rows" in capsys.readouterr().err
+
     def test_bad_K_is_usage_error(self, tmp_path, capout):
         inp = write_planted(tmp_path)
         code = main([
@@ -248,6 +266,22 @@ class TestEvaluate:
         assert out["col_rate"] == 0.0
 
 
+    def test_empty_label_file_is_usage_error(self, tmp_path, capsys):
+        matrixio.write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "l.csv")
+        (tmp_path / "empty.csv").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "evaluate",
+                "--truth-rows", str(tmp_path / "empty.csv"),
+                "--truth-cols", str(tmp_path / "l.csv"),
+                "--est-rows", str(tmp_path / "l.csv"),
+                "--est-cols", str(tmp_path / "l.csv"),
+            ])
+        assert code == 2
+        assert f"{tmp_path / 'empty.csv'}: no labels" in capsys.readouterr().err
+
+
 class TestBound:
     BASE = [
         "bound", "--m", "60", "--n", "60", "--K", "2", "--L", "2",
@@ -263,6 +297,15 @@ class TestBound:
 
     def test_bad_delta_is_usage_error(self, capsys):
         assert main(self.BASE + ["--delta", "1.5"]) == 2
+
+    @pytest.mark.parametrize("flag, name", [("--m", "m"), ("--T-n", "T_n")])
+    def test_huge_integer_is_usage_error(self, capsys, flag, name):
+        argv = self.BASE + ["--delta", "0.035"]
+        argv[argv.index(flag) + 1] = "9" * 401
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be an integer in [1, 2**53]" in err
+        assert "Traceback" not in err
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["bound", "--m", "10"]) == 2

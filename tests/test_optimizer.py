@@ -301,6 +301,12 @@ class TestFit:
         with pytest.raises(ValueError, match="do not match"):
             fit(X, FitConfig(K=2, L=2, rate="gaussian"), init=init)
 
+    def test_init_with_other_classes_than_config_rejected(self):
+        X = bc.DataMatrix(np.random.default_rng(3).standard_normal((12, 10)))
+        init = bc.LabelAssignment(np.arange(12) % 3, np.arange(10) % 3, 3, 3)
+        with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
+            fit(X, FitConfig(K=2, L=2, rate="gaussian", restarts=2), init=init)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(K=0, L=1, rate="gaussian")
@@ -308,3 +314,39 @@ class TestFit:
             FitConfig(K=1, L=1, rate="gaussian", min_frac=0.5)
         with pytest.raises(ValueError):
             FitConfig(K=1, L=1, rate="gaussian", restarts=0)
+
+
+#: fits one real-valued matrix and prints its labels and criterion
+BLAS_SCRIPT = """
+import json
+import numpy as np
+import blockcluster as bc
+rng = np.random.default_rng(23)
+g, h = rng.integers(4, size=600), rng.integers(4, size=500)
+X = bc.DataMatrix(rng.standard_normal((4, 4))[g][:, h] + 2.0 * rng.standard_normal((600, 500)))
+r = bc.fit(X, bc.FitConfig(K=4, L=4, rate="gaussian", restarts=2, seed=3))
+print(json.dumps([r.labels.row_labels.tolist(), r.labels.col_labels.tolist(), r.criterion]))
+"""
+
+
+def test_fit_reproducible_across_blas_thread_counts():
+    """A fit at 1 and at 2 BLAS threads gives the same labels, and F equal
+    to rounding: a threaded matmul may sum in another order, so F is not
+    promised bit for bit."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(bc.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    (g1, h1, f1), (g2, h2, f2) = runs
+    assert g1 == g2 and h1 == h2
+    assert f2 == pytest.approx(f1, rel=1e-12)

@@ -610,3 +610,137 @@ def test_misclassification_label_permutation_invariant(pair, seed):
     rates = bc.misclassification(t, e)
     assert bc.misclassification(t, renamed) == rates
     assert bc.misclassification(reordered, shuffled) == rates
+
+
+# -- the CLI on malformed inputs ------------------------------------------
+
+#: CSV cells: numbers, non-finite and overflowing values, text
+CSV_CELLS = ["0", "1", "-2.5", "3e2", "nan", "inf", "-inf", "1e308", "1e400",
+             "", "x"]
+#: label-file lines: labels, a negative, a float, text
+LABEL_LINES = ["0", "1", "2", "-1", "0.5", "1e3", "x"]
+HUGE = "9" * 401
+#: per plan key (per ``bound`` flag): a value that runs first, then values
+#: no cell can run, values that do not parse, and None to leave it out;
+#: sizes stay tiny or far past anything that could be allocated
+PLAN_VALUES = {
+    "design": ["poisson", "gaussian", "bernoulli", "student_t", "cauchy", None],
+    "n_values": ["6", "6, 0", "1", "-3", "x", "", HUGE, None],
+    "gamma_values": ["1", "0", "1e-9", "-1", "nan", "inf", "1e300"],
+    "b_values": ["5", "0", "-5", "nan", "inf", "1e6"],
+    "replicates": ["1", "0", "1.5", None],
+    "methods": ["KM, PL-Gaus", "PL-Pois", "PL-Bern", "bogus", ""],
+    "seed": ["1", "-1", "x"],
+    "max_sweeps": ["2", "0"],
+    "kmeans_iters": ["2", "0", "x"],
+}
+BOUND_VALUES = {
+    "--m": ["30", "0", HUGE, None], "--n": ["30", "-1", HUGE],
+    "--K": ["2", "1", HUGE], "--L": ["2", "0", HUGE],
+    "--epsilon": ["0.45", "0", "1e-300", "nan"],
+    "--delta": ["0.01", "1e-300", "1.5", "nan", None],
+    "--tau": ["4e4", "1e-300", "1e300", "inf", "-1"],
+    "--sigma": ["1", "1e-300", "1e300", "nan"],
+    "--c-lip": ["100", "1e-300", "1e300", "inf"],
+    "--T-n": ["196", "0", HUGE, None],
+}
+
+
+def mostly(draw, values):
+    """values[0] three times in four, else any of ``values``."""
+    return values[0] if draw(st.integers(0, 3)) else draw(st.sampled_from(values))
+
+
+@st.composite
+def csv_texts(draw):
+    """Rows of numbers, or ragged rows of any ``CSV_CELLS``, with trailing
+    commas, a header, blank lines, or no rows at all."""
+    width = draw(st.integers(1, 4))
+    row = (st.lists(st.sampled_from(CSV_CELLS[:4]), min_size=width, max_size=width)
+           if draw(st.integers(0, 3))
+           else st.lists(st.sampled_from(CSV_CELLS), min_size=1, max_size=4))
+    end = mostly(draw, ["", ","])
+    lines = [",".join(r) + end for r in draw(st.lists(row, max_size=6))]
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"c{j}" for j in range(width)))
+    lines += [""] * draw(st.integers(0, 2))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def bmat_files(draw):
+    """BMAT files with a wrong magic, a header that lies about the size,
+    non-finite or huge values, or cut anywhere."""
+    magic = mostly(draw, [matrixio.MAGIC, b"BMAX"])
+    m, n = (mostly(draw, [2, 0, 1, 3, 2**40, 2**64 - 1]) for _ in "mn")
+    values = (np.arange(9.0) % 4 if draw(st.integers(0, 3)) else
+              draw(st.lists(st.sampled_from([0.0, 1.0, -3.5, 1e200, np.nan, np.inf]),
+                            max_size=9)))
+    data = matrixio._HEADER.pack(magic, m, n) + np.array(values, dtype="<f8").tobytes()
+    return data if draw(st.integers(0, 3)) else data[:draw(st.integers(0, len(data)))]
+
+
+def flags_and_keys(draw, table):
+    """(key, value) pairs, each value ``mostly`` the one that runs."""
+    pairs = [(key, mostly(draw, values)) for key, values in table.items()]
+    return [(key, value) for key, value in pairs if value is not None]
+
+
+@st.composite
+def cli_runs(draw):
+    """(kind, files, argv): one ``blockcluster`` run on malformed input.
+    ``files`` maps names to contents; argv refers to them as ``{d}/name``."""
+    kind = draw(st.sampled_from(["csv", "bmat", "labels", "plan", "bound"]))
+    out = ["--output", "{d}/out"]
+    if kind in ("csv", "bmat"):
+        content = draw(csv_texts() if kind == "csv" else bmat_files())
+        fmt = mostly(draw, ["csv", "binary"] if kind == "csv" else ["binary", "csv"])
+        k, l = (mostly(draw, ["2", "1", "3", "0", "9" * 30]) for _ in "KL")
+        argv = ["fit", "--input", "{d}/X", *out, "--K", k, "--L", l, "--format", fmt,
+                "--rate", mostly(draw, ["gaussian", "poisson", "bernoulli"]),
+                "--min-frac", mostly(draw, ["0", "0.3"])]
+        return kind, {"X": content}, argv
+    if kind == "labels":
+        size = draw(st.integers(2, 5))
+        valid = st.lists(st.sampled_from(LABEL_LINES[:2]), min_size=size, max_size=size)
+        lines = st.lists(st.sampled_from(LABEL_LINES), max_size=5)
+        files = {name: "\n".join(draw(valid if draw(st.integers(0, 3)) else lines))
+                 for name in ("tr", "tc", "er", "ec")}
+        return kind, files, ["evaluate", "--truth-rows", "{d}/tr", "--truth-cols", "{d}/tc",
+                             "--est-rows", "{d}/er", "--est-cols", "{d}/ec"]
+    if kind == "plan":
+        lines = [f"{key} = {value}" for key, value in flags_and_keys(draw, PLAN_VALUES)]
+        lines += draw(st.lists(st.sampled_from(["bogus = 1", "design poisson"]),
+                               max_size=1))
+        return kind, {"plan": "\n".join(lines) + "\n"}, ["simulate", "--plan", "{d}/plan", *out]
+    argv = ["bound"]
+    for flag, value in flags_and_keys(draw, BOUND_VALUES):
+        argv += [flag, value]
+    return kind, {}, argv
+
+
+@given(cli_runs())
+def test_cli_survives_malformed_inputs(tmp_path_factory, run):
+    """Every run exits 0, 2, 3 or 4, with no exception, traceback or
+    warning."""
+    import contextlib
+    import io
+
+    from blockcluster import cli
+
+    kind, files, argv = run
+    d = tmp_path_factory.mktemp("cli")
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (d / name).write_bytes(content)
+        else:
+            (d / name).write_text(content)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([arg.format(d=d) for arg in argv])
+    event(f"{kind}: exit {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()

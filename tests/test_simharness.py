@@ -228,6 +228,33 @@ class TestPlanFile:
         assert "plan.cfg" in err and key in err
         assert not (tmp_path / "sim.records.csv").exists()
 
+    @pytest.mark.parametrize("design, key, value", [
+        ("poisson", "n_values", [0]),
+        ("poisson", "gamma_values", [0.0]),
+        ("poisson", "gamma_values", [1e-9]),  # m rounds to 0
+        ("poisson", "n_values", [1]),  # fewer columns than L = 3
+        ("poisson", "b_values", [-5.0]),  # negative Poisson means
+        ("gaussian", "b_values", [math.nan]),
+    ])
+    def test_cells_that_cannot_run_rejected(self, tmp_path, capsys, design, key,
+                                            value):
+        """A plan with a cell the design cannot generate or fit is refused
+        up front, naming the key, not run into failed records."""
+        from blockcluster.cli import main
+
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            small_plan(design=design, methods=["KM"], **{key: value})
+        path = tmp_path / "plan.cfg"
+        path.write_text(DEMO_PLAN.replace("poisson", design)
+                        + f"{key} = {value[0]}\n")
+        with pytest.raises(ValueError, match=f"plan.cfg: {key}: "):
+            simharness.parse_plan_file(path)
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--plan", str(path), "--output", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert f"plan.cfg: {key}: " in err
+        assert not (tmp_path / "sim.records.csv").exists()
+
     def test_bundled_config_parses(self):
         plan = simharness.parse_plan_file("configs/poisson_desk.cfg")
         assert plan.design == "poisson"
