@@ -280,7 +280,8 @@ def gaussian_tail_bound(inp: TailBoundInput) -> float:
     """min(1, 2 K^(m+1) L^(n+1) exp{-T_n tau^2 eps^4 delta^2 /
     (256 c^2 sigma^2 min(K^4, L^4))}), evaluated in log space.  The exponent
     and ``delta_cap`` are exact rationals rounded once, so no input in range
-    overflows or divides by an underflowed zero."""
+    overflows or divides by an underflowed zero; delta below its cap keeps
+    the exponent under T_n / 4."""
     exponent = (
         inp.T_n * Fraction(inp.tau) ** 2 * Fraction(inp.epsilon) ** 4
         * Fraction(inp.delta) ** 2
@@ -291,10 +292,8 @@ def gaussian_tail_bound(inp: TailBoundInput) -> float:
         math.log(2.0)
         + (inp.m + 1) * math.log(inp.K)
         + (inp.n + 1) * math.log(inp.L)
+        - float(exponent)
     )
-    if exponent > log_bound + 800:  # exp of anything below -746 is 0
-        return 0.0
-    log_bound -= float(exponent)
     if log_bound >= 0.0:
         return 1.0
     return math.exp(log_bound)

@@ -265,7 +265,6 @@ class TestEvaluate:
         assert out["row_rate"] == pytest.approx(1 / 30)
         assert out["col_rate"] == 0.0
 
-
     def test_empty_label_file_is_usage_error(self, tmp_path, capsys):
         matrixio.write_labels_csv(np.array([0, 1, 0, 1]), tmp_path / "l.csv")
         (tmp_path / "empty.csv").write_text("")

@@ -248,6 +248,20 @@ class TestTailBound:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             self.base(epsilon=0.0)
+
+    @pytest.mark.parametrize("name, value", [("m", 2**53 + 1), ("T_n", 10**400),
+                                             ("tau", math.inf), ("sigma", math.nan)],
+                             ids=["m", "T_n", "tau", "sigma"])
+    def test_integers_past_2_53_and_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            self.base(**{name: value})
+
+    @pytest.mark.parametrize("over", [dict(tau=1e200, delta=1e-300),
+                                      dict(epsilon=1e-200)])
+    def test_extreme_floats_do_not_overflow(self, over):
+        """tau^2 past the float range, and tau epsilon^2 below it, leave
+        the exponent tiny and the bound at 1."""
+        assert gaussian_tail_bound(self.base(**over)) == 1.0
         with pytest.raises(ValueError):
             self.base(sigma=-1.0)
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Property tests of the sweep engine, the lockstep k-means, the
-misclassification matching and the matrix file formats.
+misclassification matching, the matrix file formats and the CLI on
+malformed inputs.
 
 Sizes stay small so the whole module runs in a few seconds.  The number of
 examples comes from the hypothesis profile (``tests/conftest.py``); both
 profiles are derandomized, so every run checks the same cases.
 """
 
+import contextlib
+import io
 import itertools
 import warnings
 
@@ -18,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
-from blockcluster import evaluation, matrixio, optimizer  # noqa: E402
+from blockcluster import cli, evaluation, matrixio, optimizer  # noqa: E402
 from blockcluster.model import derived_rng  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
     TIE_TOL,
@@ -723,11 +726,6 @@ def cli_runs(draw):
 def test_cli_survives_malformed_inputs(tmp_path_factory, run):
     """Every run exits 0, 2, 3 or 4, with no exception, traceback or
     warning."""
-    import contextlib
-    import io
-
-    from blockcluster import cli
-
     kind, files, argv = run
     d = tmp_path_factory.mktemp("cli")
     for name, content in files.items():

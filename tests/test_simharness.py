@@ -235,7 +235,7 @@ class TestPlanFile:
         ("poisson", "n_values", [1]),  # fewer columns than L = 3
         ("poisson", "b_values", [-5.0]),  # negative Poisson means
         ("gaussian", "b_values", [math.nan]),
-    ])
+    ], ids=["n0", "gamma0", "gamma1e-9", "n1", "b-5", "bnan"])
     def test_cells_that_cannot_run_rejected(self, tmp_path, capsys, design, key,
                                             value):
         """A plan with a cell the design cannot generate or fit is refused
