@@ -324,12 +324,15 @@ WALK_ORDERS = {
 }
 
 
+@pytest.mark.parametrize("scale", [2, 65536])
 @pytest.mark.parametrize("order", WALK_ORDERS)
-def test_replay_walk_edge_cases_match_sequential_apply(order):
+def test_replay_walk_edge_cases_match_sequential_apply(order, scale):
     """Crafted move lists through ``_legal`` and ``_replay`` against the
-    one-move-at-a-time loop: the deltas are equal bit for bit."""
+    one-move-at-a-time loop: the deltas are equal bit for bit, on data of
+    small and of large magnitude (power-of-two scales, so both matrices
+    hold the same significands and only the exponents differ)."""
     rng = np.random.default_rng(18)
-    X = bc.DataMatrix(rng.standard_normal((9, 7)) * 100.0)
+    X = bc.DataMatrix(rng.standard_normal((9, 7)) * float(scale))
     labels = bc.LabelAssignment(np.arange(9) % 3, np.arange(7) % 3, 3, 3)
     f = rate_function("gaussian")
     sides, _ = optimizer._sides(X, labels, f, 0.0)
