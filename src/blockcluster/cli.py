@@ -23,13 +23,6 @@ EXIT_IO = 3
 EXIT_DOMAIN = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _read_matrix(path, fmt):
     if fmt == "binary":
         return matrixio.read_matrix_binary(path)
@@ -117,8 +110,10 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="blockcluster", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``blockcluster`` parser; argparse reports a bad flag with the
+    usage and exit status 2, ``EXIT_USAGE``."""
+    parser = argparse.ArgumentParser(prog="blockcluster", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_fit = sub.add_parser("fit", help="bicluster a matrix")

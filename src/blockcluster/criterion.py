@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .model import DataMatrix, LabelAssignment
+
+if TYPE_CHECKING:  # model imports this module for the rate domains
+    from .model import DataMatrix, LabelAssignment
 
 RATE_KINDS = ("bernoulli", "poisson", "gaussian")
 

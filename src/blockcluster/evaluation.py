@@ -2,8 +2,9 @@
 
 Includes confusion matrices, permutation-matched misclassification, the
 population criterion G(C, D), a sampled check of the population gap
-inequality, a sampled sup-norm of the normalized residual matrix, and the
-Gaussian finite-sample tail-bound calculator.
+inequality, a sampled sup-norm of the normalized residual matrix over
+epsilon-nontrivial labelings (``model.class_floor``), and the Gaussian
+finite-sample tail-bound calculator.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .criterion import RateFunction, block_stats
+from .criterion import RateFunction, block_stats, check_shape
 from .model import (
-    BlockModelSpec, DataMatrix, LabelAssignment, derived_rng, identifiable,
+    BlockModelSpec, DataMatrix, LabelAssignment, class_floor, derived_rng,
+    draw_labels, identifiable,
 )
 
 def _max_offdiag_product(A: np.ndarray) -> float:
@@ -192,37 +194,26 @@ def population_gap_check(M0: np.ndarray, f: RateFunction, p: np.ndarray,
     }
 
 
-def _sample_labels_nontrivial(rng: np.random.Generator, k: int, size: int,
-                              epsilon: float, max_attempts: int = 1000) -> np.ndarray:
-    """Uniform labels conditioned on every class proportion exceeding epsilon."""
-    for _ in range(max_attempts):
-        labels = rng.integers(k, size=size)
-        if np.bincount(labels, minlength=k).min() > epsilon * size:
-            return labels
-    raise RuntimeError(
-        f"could not sample a nontrivial labeling (k={k}, size={size}, "
-        f"epsilon={epsilon}) in {max_attempts} attempts"
-    )
-
-
 def residual_supnorm(X: DataMatrix, truth: LabelAssignment, spec: BlockModelSpec,
                      samples: int, epsilon: float, seed: int) -> float:
-    """Max over sampled nontrivial labelings of the sup-norm of the
+    """Max over sampled epsilon-nontrivial labelings of the sup-norm of the
     normalized residual (Xbar - E) / rho.
 
-    E is the conditional expectation of the bicluster means given the true
-    classes; the returned value is a sampled lower bound on the supremum
-    over all nontrivial labelings.
+    The labelings are uniform, redrawn until every class meets
+    ``class_floor(epsilon, size)`` as ``fit`` with ``min_frac = epsilon``
+    does.  E is the conditional expectation of the bicluster means given the
+    true classes; the returned value is a sampled lower bound on the
+    supremum over all such labelings.
     """
-    if truth.m != X.m or truth.n != X.n:
-        raise ValueError("truth labels do not match the matrix dimensions")
+    check_shape(X, truth)
     if spec.K != truth.K or spec.L != truth.L:
         raise ValueError("spec and truth class counts disagree")
     rng = derived_rng(seed)
+    row_floor, col_floor = class_floor(epsilon, X.m), class_floor(epsilon, X.n)
     worst = 0.0
     for _ in range(samples):
-        g = _sample_labels_nontrivial(rng, spec.K, X.m, epsilon)
-        h = _sample_labels_nontrivial(rng, spec.L, X.n, epsilon)
+        g = draw_labels(rng, spec.K, X.m, row_floor, max_attempts=1000)
+        h = draw_labels(rng, spec.L, X.n, col_floor, max_attempts=1000)
         labels = LabelAssignment(row_labels=g, col_labels=h, K=spec.K, L=spec.L)
         pair = confusion(truth, labels)
         pk = pair.C.sum(axis=0)

@@ -27,7 +27,10 @@ def write_matrix_csv(X: DataMatrix, path, header: bool = False) -> None:
 
 def read_matrix_csv(path) -> DataMatrix:
     with open(path, "r") as fh:
-        first = fh.readline()
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not first:
         raise ValueError(f"{path}: empty file")
     skip = 0

@@ -1,9 +1,12 @@
-"""Block-model data types and seeded synthetic data generation.
+"""Block-model data types, partition rules and seeded data generation.
 
 Conventions
 -----------
 - Data matrices are dense, row-major, float64, shape (m, n).
 - Row labels take values in {0..K-1}, column labels in {0..L-1}.
+- A labeling is epsilon-nontrivial when every class of an axis of ``size``
+  items holds at least ``class_floor(epsilon, size)``: ``fit``'s ``min_frac``
+  and ``residual_supnorm``'s ``epsilon`` both mean this.
 - All randomness flows through numpy's PCG64 generator.  Derived streams
   (per restart, per replicate) are obtained from
   ``SeedSequence([base_seed, *path])`` so results are reproducible across
@@ -15,10 +18,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from .criterion import RATE_KINDS, RateFunction
 from .errors import DomainError
 
 log = logging.getLogger(__name__)
@@ -167,20 +172,13 @@ class BlockModelSpec:
             raise ValueError("rho must be positive")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "bernoulli":
-            bad = np.argwhere((M < 0) | (M > 1))
+        if self.family in RATE_KINDS:
+            f = RateFunction(self.family)
+            bad = np.argwhere(f.outside(M))
             if bad.size:
                 k, l = bad[0]
-                raise DomainError(
-                    f"bernoulli mean {M[k, l]} for block ({k}, {l}) outside [0, 1]"
-                )
-        if self.family == "poisson":
-            bad = np.argwhere(M < 0)
-            if bad.size:
-                k, l = bad[0]
-                raise DomainError(
-                    f"poisson mean {M[k, l]} for block ({k}, {l}) is negative"
-                )
+                raise DomainError(f"{f.kind} mean {M[k, l]} for block ({k}, {l}) "
+                                  f"outside {f.domain}")
         if self.family in ("gaussian", "student_t"):
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError(f"{self.family} family requires sigma > 0")
@@ -226,18 +224,26 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
     )
 
 
-def _draw_labels(rng: np.random.Generator, k: int, size: int, probs: np.ndarray,
-                 max_attempts: int = 100) -> np.ndarray:
-    """i.i.d. multinomial labels, redrawn until every class is nonempty."""
+def class_floor(frac: float, size: int) -> int:
+    """The least count c >= 1 with c >= frac * size: the floor on each class
+    of an axis of ``size`` items.  frac * size is exact in the decimal that
+    frac prints as (0.14 * 50 is 7, not 7.000000000000001)."""
+    return max(1, math.ceil(Fraction(repr(float(frac))) * size))
+
+
+def draw_labels(rng: np.random.Generator, k: int, size: int, floor: int = 1,
+                p: Optional[np.ndarray] = None, max_attempts: int = 100) -> np.ndarray:
+    """i.i.d. labels over k classes, uniform or with probabilities ``p``,
+    redrawn until every class holds at least ``floor`` items."""
     for attempt in range(max_attempts):
-        labels = rng.choice(k, size=size, p=probs)
-        if np.bincount(labels, minlength=k).min() > 0:
+        labels = rng.choice(k, size=size, p=p)
+        if np.bincount(labels, minlength=k).min() >= floor:
             if attempt:
                 log.debug("label draw needed %d retries", attempt)
             return labels
     raise RuntimeError(
-        f"failed to draw nontrivial labels after {max_attempts} attempts "
-        f"(k={k}, size={size})"
+        f"failed to draw labels with classes of at least {floor} items after "
+        f"{max_attempts} attempts (k={k}, size={size})"
     )
 
 
@@ -250,8 +256,8 @@ def generate(spec: BlockModelSpec, m: int, n: int, seed: int):
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    c = _draw_labels(rng, spec.K, m, spec.p)
-    d = _draw_labels(rng, spec.L, n, spec.q)
+    c = draw_labels(rng, spec.K, m, p=spec.p)
+    d = draw_labels(rng, spec.L, n, p=spec.q)
     mu = spec.M[c][:, d]
     if spec.family == "bernoulli":
         values = (rng.random((m, n)) < mu).astype(np.float64)

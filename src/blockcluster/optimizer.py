@@ -60,7 +60,7 @@ from .criterion import (
     rate_function,
 )
 from .errors import PartitionError
-from .model import DataMatrix, LabelAssignment, derived_rng, derived_seed
+from .model import DataMatrix, LabelAssignment, class_floor, derived_rng, derived_seed
 
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
@@ -100,10 +100,6 @@ class FitResult:
     restart_index: int = 0
     converged: bool = False
     moves_applied: int = 0
-
-
-def _min_count(frac: float, size: int) -> int:
-    return max(1, int(math.ceil(frac * size)))
 
 
 def _kmeanspp(points: np.ndarray, pp: np.ndarray, k: int,
@@ -298,8 +294,8 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     lines, and ``criterion_value`` F."""
     stats = block_stats(X, labels)
     rcnt, ccnt = stats.row_counts, stats.col_counts
-    min_rows = _min_count(min_frac, labels.m)
-    min_cols = _min_count(min_frac, labels.n)
+    min_rows = class_floor(min_frac, labels.m)
+    min_cols = class_floor(min_frac, labels.n)
     if rcnt.min() < min_rows or ccnt.min() < min_cols:
         raise PartitionError(
             "input labeling violates the minimum class-size constraint"
@@ -465,8 +461,8 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     f = rate_function(config.rate)
     check_support(X, f)
     check_norms(X)
-    min_rows = _min_count(config.min_frac, X.m)
-    min_cols = _min_count(config.min_frac, X.n)
+    min_rows = class_floor(config.min_frac, X.m)
+    min_cols = class_floor(config.min_frac, X.n)
     for k, classes, floor, size, items in (("K", config.K, min_rows, "m", X.m),
                                            ("L", config.L, min_cols, "n", X.n)):
         if classes * floor > items:

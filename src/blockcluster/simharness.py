@@ -34,6 +34,7 @@ import csv
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
@@ -216,20 +217,27 @@ def _worker_count(tasks: int) -> int:
 
 
 def run_plan(plan: SimPlan) -> Iterator[SimRecord]:
-    """Execute every (cell, replicate, method) of the plan, streaming records."""
-    tasks = [
-        (plan, ci, n, gamma, b, rep)
-        for ci, (n, gamma, b) in enumerate(plan.cells())
-        for rep in range(plan.replicates)
-    ]
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records in pool.map(_run_replicate, *zip(*tasks), chunksize=1):
-                yield from records
-    else:
+    """Execute every (cell, replicate, method) of the plan, streaming records
+    in task order.  The (cell, replicate) tasks are enumerated as they run,
+    and a pool holds at most two per worker, so memory does not grow with
+    ``replicates``."""
+    cells = plan.cells()
+    tasks = ((plan, ci, n, gamma, b, rep)
+             for ci, (n, gamma, b) in enumerate(cells)
+             for rep in range(plan.replicates))
+    workers = _worker_count(len(cells) * plan.replicates)
+    if workers == 1:
         for task in tasks:
             yield from _run_replicate(*task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for task in tasks:
+            pending.append(pool.submit(_run_replicate, *task))
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
 
 
 def write_records(records: Iterable[SimRecord], path) -> Iterator[SimRecord]:
@@ -302,16 +310,20 @@ def write_summary(summary: list[dict], path) -> None:
 
 def parse_plan_file(path) -> SimPlan:
     """Read a key = value plan file (see the module docstring for the keys)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        raw[key] = value
     plan_keys = {"output" if f.name == "output_path" else f.name: f
                  for f in fields(SimPlan)}
     kwargs: dict = {}

@@ -308,3 +308,18 @@ class TestBound:
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["bound", "--m", "10"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--plan", "{f}"],
+    ["fit", "--input", "{f}", "--output", "{d}/out", "--K", "2", "--L", "2",
+     "--rate", "gaussian"],
+    ["evaluate", "--truth-rows", "{f}", "--truth-cols", "{f}", "--est-rows", "{f}",
+     "--est-cols", "{f}"],
+], ids=["plan", "csv", "labels"])
+def test_undecodable_file_is_usage_error_naming_it(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe0,1\n1,0\n")
+    assert main([arg.format(f=path, d=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "codec can't decode" in err

@@ -155,6 +155,15 @@ class TestResidualSupnorm:
     def make_spec(self):
         return bc.design_spec("gaussian", 1, 400)
 
+    def direct(self, X, truth, spec, sampled):
+        """The normalized residual's sup-norm for one sampled labeling."""
+        pair = confusion(truth, sampled)
+        E = (pair.C.T @ spec.M @ pair.D) / np.outer(
+            pair.C.sum(axis=0), pair.D.sum(axis=0)
+        )
+        stats = bc.block_stats(X, sampled)
+        return float(np.max(np.abs(stats.S / stats.N - E))) / spec.rho
+
     def test_zero_noise_zero_residual(self):
         spec = self.make_spec()
         rng = np.random.default_rng(0)
@@ -171,19 +180,34 @@ class TestResidualSupnorm:
         X, truth = bc.generate(spec, 100, 400, seed=3)
         value = residual_supnorm(X, truth, spec, samples=1, epsilon=0.1, seed=7)
         # recompute by hand for the same sampled labeling
-        from blockcluster.evaluation import _sample_labels_nontrivial
-        from blockcluster.model import derived_rng
+        from blockcluster.model import class_floor, derived_rng, draw_labels
 
         rng = derived_rng(7)
-        g = _sample_labels_nontrivial(rng, 2, 100, 0.1)
-        h = _sample_labels_nontrivial(rng, 3, 400, 0.1)
-        sampled = bc.LabelAssignment(g, h, 2, 3)
-        pair = confusion(truth, sampled)
-        E = (pair.C.T @ spec.M @ pair.D) / np.outer(
-            pair.C.sum(axis=0), pair.D.sum(axis=0)
-        )
-        stats = bc.block_stats(X, sampled)
-        direct = float(np.max(np.abs(stats.S / stats.N - E))) / spec.rho
+        g = draw_labels(rng, 2, 100, class_floor(0.1, 100))
+        h = draw_labels(rng, 3, 400, class_floor(0.1, 400))
+        direct = self.direct(X, truth, spec, bc.LabelAssignment(g, h, 2, 3))
+        assert value == pytest.approx(direct, rel=1e-12)
+
+    def test_samples_a_class_of_exactly_epsilon_size(self):
+        """With epsilon = 0.3 and 10 rows the floor is 3 rows, the rule
+        ``fit`` uses: a first draw with a row class of exactly 3 is the
+        labeling sampled, not redrawn."""
+        from blockcluster.model import derived_rng
+
+        spec = bc.BlockModelSpec(K=2, L=2, p=np.array([0.5, 0.5]),
+                                 q=np.array([0.5, 0.5]), M=np.eye(2), rho=1.0,
+                                 family="gaussian", sigma=1.0)
+        X, truth = bc.generate(spec, 10, 20, seed=4)
+
+        def first_draw(seed):
+            rng = derived_rng(seed)
+            return rng.integers(2, size=10), rng.integers(2, size=20)
+
+        seed = next(s for s in range(1000)
+                    if np.bincount(first_draw(s)[0]).min() == 3
+                    and np.bincount(first_draw(s)[1], minlength=2).min() >= 6)
+        direct = self.direct(X, truth, spec, bc.LabelAssignment(*first_draw(seed), 2, 2))
+        value = residual_supnorm(X, truth, spec, samples=1, epsilon=0.3, seed=seed)
         assert value == pytest.approx(direct, rel=1e-12)
 
     def test_shrinks_with_size(self):

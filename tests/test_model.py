@@ -3,6 +3,7 @@ import pytest
 
 import blockcluster as bc
 from blockcluster.errors import DomainError
+from blockcluster.model import class_floor
 
 
 def test_single_block_degenerate_case():
@@ -22,6 +23,15 @@ def test_bernoulli_support_violation():
             K=1, L=1, p=np.array([1.0]), q=np.array([1.0]),
             M=np.array([[1.2]]), rho=1.0, family="bernoulli",
         )
+
+
+@pytest.mark.parametrize("frac, size, floor", [
+    (0.07, 100, 7), (0.14, 50, 7), (0.45, 30, 14), (0.05, 200, 10), (0.0, 50, 1),
+])
+def test_class_floor_pinned(frac, size, floor):
+    """The least count c >= 1 with c >= frac * size, in decimal: the float
+    products 0.07 * 100 and 0.14 * 50 are 7.000000000000001."""
+    assert class_floor(frac, size) == floor
 
 
 def test_generate_deterministic():

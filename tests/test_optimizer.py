@@ -195,6 +195,15 @@ class TestFit:
         assert result.labels.row_counts().min() >= 4
         assert result.labels.col_counts().min() >= 4
 
+    def test_class_of_exactly_min_frac_rows_is_legal(self):
+        """0.14 * 50 is exactly 7 rows, so seven classes of at least 7 fit
+        in 50 rows, although the float product is 7.000000000000001."""
+        X = bc.DataMatrix(np.random.default_rng(17).standard_normal((50, 20)))
+        init = bc.LabelAssignment(np.arange(50) % 7, np.arange(20) % 2, 7, 2)
+        result = fit(X, FitConfig(K=7, L=2, rate="gaussian", min_frac=0.14), init=init)
+        assert result.labels.row_counts().min() >= 7
+        assert result.labels.col_counts().min() >= 3
+
     def test_out_of_domain_data_named_at_entry(self):
         X = bc.DataMatrix(np.array([[0.0, 1.0], [2.0, 0.5]]))
         with pytest.raises(DomainError, match=r"2\.0 at row 1, column 0"):

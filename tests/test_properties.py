@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
 from blockcluster import cli, evaluation, matrixio, optimizer  # noqa: E402
-from blockcluster.model import derived_rng  # noqa: E402
+from blockcluster.model import class_floor, derived_rng, draw_labels  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
     TIE_TOL,
     block_stats,
@@ -76,7 +77,7 @@ def test_sweep_never_lowers_criterion(problem):
     new, gain = optimizer.kl_sweep(X, labels, f, min_frac)
     assert gain >= 0.0
     assert F(X, new, f) >= F(X, labels, f)
-    floor = optimizer._min_count
+    floor = class_floor
     assert new.row_counts().min() >= floor(min_frac, X.m)
     assert new.col_counts().min() >= floor(min_frac, X.n)
 
@@ -171,7 +172,7 @@ def test_converged_fit_is_locally_optimal(problem):
     tol = max(TIE_TOL, optimizer.CONVERGENCE_TOL * abs(result.criterion))
     for axis, own, counts, size in (("row", labels.row_labels, labels.row_counts(), X.m),
                                     ("col", labels.col_labels, labels.col_counts(), X.n)):
-        floor = optimizer._min_count(min_frac, size)
+        floor = class_floor(min_frac, size)
         for i in range(size):
             if counts[own[i]] <= floor:
                 continue
@@ -574,6 +575,30 @@ def test_kmeans_k_equals_m_and_start_groups(m, n, K):
     assert sum(starts for _, starts, _ in blocks) == 20
 
 
+# -- class-size floors ----------------------------------------------------
+
+@given(st.integers(0, 4999), st.integers(1, 1000), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_class_floor_and_label_draws(digits, size, k, weighted, seed):
+    """``class_floor`` is the least c >= 1 with c >= frac * size, exactly,
+    for a frac of up to four decimals, and every labeling ``draw_labels``
+    returns meets the floor it was given."""
+    frac = digits / 10**4
+    floor = class_floor(frac, size)
+    exact = Fraction(digits, 10**4) * size
+    assert floor >= 1 and floor >= exact
+    assert floor == 1 or floor - 1 < exact
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(k)) if weighted else None
+    try:
+        labels = draw_labels(rng, k, size, floor, p=p, max_attempts=5)
+    except RuntimeError:
+        event("no draw met the floor")
+        return
+    assert labels.shape == (size,)
+    assert np.bincount(labels, minlength=k).min() >= floor
+
+
 # -- misclassification ----------------------------------------------------
 
 @st.composite
@@ -657,6 +682,12 @@ def mostly(draw, values):
     return values[0] if draw(st.integers(0, 3)) else draw(st.sampled_from(values))
 
 
+def undecodable(draw, text):
+    """``text``, or one time in eight its bytes after two that no UTF-8
+    text starts with."""
+    return text if draw(st.integers(0, 7)) else b"\xff\xfe" + text.encode()
+
+
 @st.composite
 def csv_texts(draw):
     """Rows of numbers, or ragged rows of any ``CSV_CELLS``, with trailing
@@ -699,7 +730,8 @@ def cli_runs(draw):
     kind = draw(st.sampled_from(["csv", "bmat", "labels", "plan", "bound"]))
     out = ["--output", "{d}/out"]
     if kind in ("csv", "bmat"):
-        content = draw(csv_texts() if kind == "csv" else bmat_files())
+        content = (undecodable(draw, draw(csv_texts())) if kind == "csv"
+                   else draw(bmat_files()))
         fmt = mostly(draw, ["csv", "binary"] if kind == "csv" else ["binary", "csv"])
         k, l = (mostly(draw, ["2", "1", "3", "0", "9" * 30]) for _ in "KL")
         argv = ["fit", "--input", "{d}/X", *out, "--K", k, "--L", l, "--format", fmt,
@@ -718,7 +750,8 @@ def cli_runs(draw):
         lines = [f"{key} = {value}" for key, value in flags_and_keys(draw, PLAN_VALUES)]
         lines += draw(st.lists(st.sampled_from(["bogus = 1", "design poisson"]),
                                max_size=1))
-        return kind, {"plan": "\n".join(lines) + "\n"}, ["simulate", "--plan", "{d}/plan", *out]
+        plan = undecodable(draw, "\n".join(lines) + "\n")
+        return kind, {"plan": plan}, ["simulate", "--plan", "{d}/plan", *out]
     argv = ["bound"]
     for flag, value in flags_and_keys(draw, BOUND_VALUES):
         argv += [flag, value]

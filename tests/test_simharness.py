@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,25 @@ class TestParallel:
         monkeypatch.setenv(simharness.WORKERS_ENV, "2")
         parallel = [normalized(r) for r in simharness.run_plan(plan)]
         assert parallel == serial
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_record_before_the_tasks_are_listed(self, monkeypatch, workers):
+        """A million replicates are enumerated as they run, serially or
+        two tasks per worker at a time, not listed before the first."""
+        plan = small_plan(n_values=[40], replicates=10**6, methods=["KM"])
+        monkeypatch.setenv(simharness.WORKERS_ENV, workers)
+        records = simharness.run_plan(plan)
+        tracemalloc.start()
+        try:
+            first = next(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            records.close()
+        assert (first.replicate, first.error) == (0, "")
+        assert peak < 5 * 2**20
 
 
 class TestWorkerCount:
