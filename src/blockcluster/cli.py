@@ -101,11 +101,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    inp = evaluation.TailBoundInput(
-        m=args.m, n=args.n, K=args.K, L=args.L, epsilon=args.epsilon,
-        delta=args.delta, tau=args.tau, sigma=args.sigma, c_lip=args.c_lip,
-        T_n=args.T_n,
-    )
+    try:
+        inp = evaluation.TailBoundInput(
+            m=args.m, n=args.n, K=args.K, L=args.L, epsilon=args.epsilon,
+            delta=args.delta, tau=args.tau, sigma=args.sigma, c_lip=args.c_lip,
+            T_n=args.T_n,
+        )
+    except ValueError as exc:
+        # each message opens with the field's name; the user typed the flag
+        name, _, rest = str(exc).partition(" ")
+        raise ValueError(f"--{name.replace('_', '-')} {rest}") from exc
     print(json.dumps({"bound": evaluation.gaussian_tail_bound(inp)}))
     return EXIT_OK
 

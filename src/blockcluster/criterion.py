@@ -141,10 +141,14 @@ def check_shape(X: DataMatrix, labels: LabelAssignment) -> None:
         )
 
 
-def block_stats(X: DataMatrix, labels: LabelAssignment) -> BlockStats:
-    """Exact within-bicluster sums and class counts."""
+def block_stats(X: DataMatrix, labels: LabelAssignment,
+                R: np.ndarray | None = None) -> BlockStats:
+    """Exact within-bicluster sums and class counts.  ``R``, if given, is
+    the (m, L) row lines of X against the column classes of ``labels`` as
+    computed here, and is used in place of computing them again."""
     check_shape(X, labels)
-    R = X.values @ _one_hot(labels.col_labels, labels.L)  # (m, L)
+    if R is None:
+        R = X.values @ _one_hot(labels.col_labels, labels.L)
     S = np.zeros((labels.K, labels.L))
     np.add.at(S, labels.row_labels, R)
     return BlockStats(
@@ -160,9 +164,9 @@ def check_support(X: DataMatrix, f: RateFunction) -> None:
     inside it; fitting checks the data once, here, and the terms below do
     no check of their own.
     """
-    bad = np.argwhere(f.outside(X.values))
-    if bad.size:
-        i, j = bad[0]
+    bad = f.outside(X.values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise DomainError(
             f"entry {X.values[i, j]} at row {i}, column {j} lies outside the "
             f"{f.kind} rate domain"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .criterion import RateFunction, block_stats, check_shape
 from .model import (
-    BlockModelSpec, DataMatrix, LabelAssignment, class_floor, derived_rng,
+    BlockModelSpec, DataMatrix, LabelAssignment, class_floors, derived_rng,
     draw_labels, identifiable,
 )
 
@@ -203,13 +203,14 @@ def residual_supnorm(X: DataMatrix, truth: LabelAssignment, spec: BlockModelSpec
     ``class_floor(epsilon, size)`` as ``fit`` with ``min_frac = epsilon``
     does.  E is the conditional expectation of the bicluster means given the
     true classes; the returned value is a sampled lower bound on the
-    supremum over all such labelings.
+    supremum over all such labelings.  An epsilon that is negative, not
+    finite or sets a floor no labeling meets raises ValueError.
     """
     check_shape(X, truth)
     if spec.K != truth.K or spec.L != truth.L:
         raise ValueError("spec and truth class counts disagree")
     rng = derived_rng(seed)
-    row_floor, col_floor = class_floor(epsilon, X.m), class_floor(epsilon, X.n)
+    row_floor, col_floor = class_floors(epsilon, "epsilon", spec.K, spec.L, X.m, X.n)
     worst = 0.0
     for _ in range(samples):
         g = draw_labels(rng, spec.K, X.m, row_floor, max_attempts=1000)

@@ -231,6 +231,24 @@ def class_floor(frac: float, size: int) -> int:
     return max(1, math.ceil(Fraction(repr(float(frac))) * size))
 
 
+def class_floors(frac: float, name: str, K: int, L: int, m: int,
+                 n: int) -> tuple[int, int]:
+    """``class_floor(frac, m)`` and ``class_floor(frac, n)`` for K row and L
+    column classes.  Raises ValueError naming ``name``, the caller's word
+    for ``frac``, if frac is negative or not finite, or if no labeling can
+    meet the floors: K classes of the row floor hold more than m items, or
+    L of the column floor more than n."""
+    if not 0.0 <= frac < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {frac}")
+    floors = class_floor(frac, m), class_floor(frac, n)
+    for k, classes, floor, size, items in (("K", K, floors[0], "m", m),
+                                           ("L", L, floors[1], "n", n)):
+        if classes * floor > items:
+            raise ValueError(f"{k} = {classes} classes of at least {floor} items "
+                             f"({name} {frac}) exceed {size} = {items}")
+    return floors
+
+
 def draw_labels(rng: np.random.Generator, k: int, size: int, floor: int = 1,
                 p: Optional[np.ndarray] = None, max_attempts: int = 100) -> np.ndarray:
     """i.i.d. labels over k classes, uniform or with probabilities ``p``,

@@ -24,20 +24,27 @@ one move, gives all deltas of an axis at once.  Every float addition
 happens in the same order as when the items are moved one at a time, so
 the deltas and labels are those of a sequential loop, bit for bit.
 
-The state is read, never written, during a sweep.  It is rebuilt from
-scratch once per restart and once for each sweep that keeps moves, from
-the kept labeling: ``criterion.block_stats`` plus the column lines, and
+The state is read, never written, during a sweep.  It is rebuilt once per
+restart and once for each sweep that keeps moves, from the kept labeling:
+``criterion.block_stats`` plus the column lines, and
 ``criterion.criterion_value`` for that labeling's exact F, which cancels
-any drift of the running sum, so ``fit`` computes F nowhere else.  The
-data are checked (rate domain, norms) once, when ``fit`` or ``kl_sweep``
-is entered.
+any drift of the running sum, so ``fit`` computes F nowhere else.  The row
+lines depend on the column labels alone and the column lines on the row
+labels alone, so the rebuild after a sweep that kept only row (column)
+moves takes the row (column) lines over unchanged: the arrays a rebuild
+from scratch computes.  The data are checked (rate domain, norms) and the
+class-size floors computed once, when ``fit`` or ``kl_sweep`` is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
-Lloyd runs, on the rows and on the columns.  The starts draw from the
-seeded stream in the order a one-start-at-a-time loop draws them, then run
-in lockstep: one distance matmul and one centroid matmul per Lloyd step for
-all starts still moving, in groups whose blocks are no larger than the
-data.  The labels are those of the one-start-at-a-time loop.
+Lloyd runs, on the rows and on the columns (a transposed view of the data,
+not a copy).  The starts draw from the seeded stream in the order a
+one-start-at-a-time loop draws them, then run in lockstep: per Lloyd step,
+one matmul of every moving start's k - 1 centre differences against the
+points labels each point by its squared distance to each centre less that
+to the first, and one centroid matmul follows, in groups whose blocks are
+no larger than the data.  That difference rounds otherwise than the full
+squared distances, so the labels are those of the one-start-at-a-time loop
+except where a point's distances to two centres agree to within rounding.
 """
 
 from __future__ import annotations
@@ -60,7 +67,9 @@ from .criterion import (
     rate_function,
 )
 from .errors import PartitionError
-from .model import DataMatrix, LabelAssignment, class_floor, derived_rng, derived_seed
+from .model import (
+    DataMatrix, LabelAssignment, class_floor, class_floors, derived_rng, derived_seed,
+)
 
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
@@ -126,9 +135,13 @@ def _kmeanspp(points: np.ndarray, pp: np.ndarray, k: int,
 def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
     """Lloyd's algorithm from each of the (starts, k, d) ``centers`` at once.
 
-    Every step serves all starts that still move with one distance matmul
-    against their stacked centres and one one-hot matmul for the new
-    centroids; a start drops out once its centroids stop changing.  Returns
+    A point takes the first j that minimises e_j = (||c_j||^2 - ||c_0||^2)
+    - 2 x.(c_j - c_0), its squared distance to c_j less that to c_0, with
+    e_0 = 0.  Every step serves all starts that still move with one matmul
+    of their k - 1 difference rows against the points and one one-hot
+    matmul for the new centroids; only a start that must re-seed an empty
+    class computes its clamped squared distances ``||x||^2 - 2 x.c +
+    ||c||^2``.  A start drops out once its centroids stop changing.  Returns
     the final labels (starts, n) with their cluster sums (starts, k, d) and
     sizes (starts, k).
     """
@@ -140,23 +153,29 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
     active = np.arange(s)
     for _ in range(iters):
         a = active.size
-        C = centers[active].reshape(a * k, d)
-        # -2 x.c is exact scaling of x.c, so each block equals its own
-        # start's ||x||^2 - 2 x.c + ||c||^2 bit for bit
-        dist = points @ C.T
-        dist *= -2.0
-        dist += pp[:, None]
-        dist += np.einsum("ij,ij->i", C, C)
-        np.maximum(dist, 0.0, out=dist)
-        dist = dist.reshape(n, a, k)
-        lab = dist.argmin(axis=2)
-        own = np.take_along_axis(dist, lab[:, :, None], axis=2)[:, :, 0]
-        del dist
-        C = C.reshape(a, k, d)
-        offsets = np.arange(a) * k
+        C = centers[active]
+        flat = C.reshape(a * k, d)
+        cc = np.einsum("ij,ij->i", flat, flat).reshape(a, k)
+        e = (C[:, 1:] - C[:, :1]).reshape(a * (k - 1), d) @ points.T
+        e *= -2.0
+        e += (cc[:, 1:] - cc[:, :1]).reshape(-1, 1)
+        e = e.reshape(a, k - 1, n)
+        lab = np.zeros((a, n), dtype=np.int64)
+        low = np.zeros((a, n))
+        for j in range(1, k):
+            lab[e[:, j - 1] < low] = j
+            np.minimum(low, e[:, j - 1], out=low)
+        del e, low
+        offsets = np.arange(a)[:, None] * k
         cnt = np.bincount((lab + offsets).ravel(), minlength=a * k).reshape(a, k)
         for t in np.flatnonzero((cnt == 0).any(axis=1)):
-            g, o = lab[:, t], own[:, t]
+            g = lab[t]
+            dist = points @ C[t].T
+            dist *= -2.0
+            dist += pp[:, None]
+            dist += cc[t]
+            np.maximum(dist, 0.0, out=dist)
+            o = dist[np.arange(n), g]
             empty = np.flatnonzero(cnt[t] == 0)
             while empty.size:
                 # re-seed the smallest empty class at the unused point
@@ -169,12 +188,12 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
                 o[idx] = -1.0
                 empty = np.flatnonzero(np.bincount(g, minlength=k) == 0)
         onehot = np.zeros((n, a * k))
-        onehot[np.arange(n)[:, None], lab + offsets] = 1.0
+        onehot[np.arange(n), lab + offsets] = 1.0
         S = (onehot.T @ points).reshape(a, k, d)
         cnt = onehot.sum(axis=0).reshape(a, k)
         del onehot
         new = S / cnt[:, :, None]
-        labels[active], sums[active], counts[active] = lab.T, S, cnt
+        labels[active], sums[active], counts[active] = lab, S, cnt
         centers[active] = new
         active = active[~(new == C).all(axis=(1, 2))]
         if not active.size:
@@ -219,7 +238,10 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
             key = mask.tobytes()
             if key not in terms:
                 cluster = points[mask]
-                terms[key] = float(((cluster - cluster.mean(axis=0)) ** 2).sum())
+                cluster -= cluster.mean(axis=0)
+                cluster *= cluster
+                terms[key] = float(cluster.sum())
+                del cluster  # one cluster copy alive at a time
             inertia += terms[key]
         if best_labels is None or inertia < best_inertia:
             best_labels, best_inertia = g, inertia
@@ -238,7 +260,7 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
         raise ValueError(f"iters must be >= 1, got {iters}")
     check_norms(X)
     g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
-    h = _kmeans_labels(np.ascontiguousarray(X.values.T), L, derived_rng(seed, 1), iters)
+    h = _kmeans_labels(X.values.T, L, derived_rng(seed, 1), iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
 
 
@@ -288,23 +310,26 @@ class _Side:
 
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
-           min_frac: float):
-    """The row and column sides of a state rebuilt from scratch, and F:
-    ``block_stats`` gives S and the row lines, one more matmul the column
-    lines, and ``criterion_value`` F."""
-    stats = block_stats(X, labels)
+           floors: tuple[int, int], R: np.ndarray | None = None,
+           C: np.ndarray | None = None):
+    """The row and column sides of a rebuilt state, and F: ``block_stats``
+    gives S and the row lines R, one more matmul the column lines C, and
+    ``criterion_value`` F.  ``floors`` are the least row and column class
+    sizes.  R depends on the column labels alone and C on the row labels
+    alone, so a caller may pass the R (C) of a state with the same column
+    (row) labels: the very arrays a rebuild computes."""
+    stats = block_stats(X, labels, R)
     rcnt, ccnt = stats.row_counts, stats.col_counts
-    min_rows = class_floor(min_frac, labels.m)
-    min_cols = class_floor(min_frac, labels.n)
-    if rcnt.min() < min_rows or ccnt.min() < min_cols:
+    if rcnt.min() < floors[0] or ccnt.min() < floors[1]:
         raise PartitionError(
             "input labeling violates the minimum class-size constraint"
         )
     g, h = labels.row_labels.copy(), labels.col_labels.copy()
-    C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
+    if C is None:
+        C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
     S, cells = stats.S, cell_terms(stats.S, rcnt, ccnt, f)
-    rows = _Side(X.values, g, stats.R, S, rcnt, ccnt, cells, min_rows, f)
-    cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, min_cols, f)
+    rows = _Side(X.values, g, stats.R, S, rcnt, ccnt, cells, floors[0], f)
+    cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, floors[1], f)
     return (rows, cols), criterion_value(stats, f)
 
 
@@ -392,12 +417,12 @@ def _replay(sides, moves: np.ndarray) -> np.ndarray:
     return deltas
 
 
-def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float,
-           f: RateFunction, min_frac: float):
+def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     """One full sweep from ``labels``, whose rebuilt state is ``sides`` with
     criterion ``f0``.  Returns (labels, sides, f1, moves_kept) for the
     labeling returned: its rebuilt state and exact criterion, and the number
-    of moves kept."""
+    of moves kept.  The rebuild reuses the row (column) lines when the kept
+    moves are all row (column) moves."""
     scored = []
     for axis, side in enumerate(sides):
         target, delta = side.best_moves()
@@ -415,7 +440,11 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float,
         new[s][i] = k
     new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
                                  K=labels.K, L=labels.L)
-    new_sides, f1 = _sides(X, new_labels, f, min_frac)
+    rows, cols = sides
+    moved = moves[:kept, 0]
+    new_sides, f1 = _sides(X, new_labels, rows.f, (rows.min_count, cols.min_count),
+                           None if moved.any() else rows.lines,
+                           cols.lines.T if moved.all() else None)
     if f1 < f0:
         return labels, sides, f0, 0
     return new_labels, new_sides, f1, kept
@@ -426,8 +455,9 @@ def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
     check_support(X, f)
     check_norms(X)
-    sides, f0 = _sides(X, labels, f, min_frac)
-    new_labels, _, f1, _ = _sweep(X, labels, sides, f0, f, min_frac)
+    floors = (class_floor(min_frac, X.m), class_floor(min_frac, X.n))
+    sides, f0 = _sides(X, labels, f, floors)
+    new_labels, _, f1, _ = _sweep(X, labels, sides, f0)
     return new_labels, f1 - f0
 
 
@@ -461,13 +491,8 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     f = rate_function(config.rate)
     check_support(X, f)
     check_norms(X)
-    min_rows = class_floor(config.min_frac, X.m)
-    min_cols = class_floor(config.min_frac, X.n)
-    for k, classes, floor, size, items in (("K", config.K, min_rows, "m", X.m),
-                                           ("L", config.L, min_cols, "n", X.n)):
-        if classes * floor > items:
-            raise ValueError(f"{k} = {classes} classes of at least {floor} items "
-                             f"(min_frac {config.min_frac}) exceed {size} = {items}")
+    min_rows, min_cols = class_floors(config.min_frac, "min_frac", config.K,
+                                      config.L, X.m, X.n)
     best: FitResult | None = None
     for r in range(config.restarts):
         if r == 0 and init is not None:
@@ -479,13 +504,12 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2,
                               min_rows, min_cols)
         try:
-            sides, f0 = _sides(X, labels, f, config.min_frac)
+            sides, f0 = _sides(X, labels, f, (min_rows, min_cols))
         except PartitionError as exc:
             raise PartitionError(f"restart {r}: {exc}") from exc
         value, trajectory, moves, converged = f0, [], 0, False
         for _ in range(config.max_sweeps):
-            labels, sides, final, kept = _sweep(X, labels, sides, f0, f,
-                                                config.min_frac)
+            labels, sides, final, kept = _sweep(X, labels, sides, f0)
             gain = final - f0
             value += gain
             moves += kept

@@ -35,7 +35,6 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
 from typing import Iterable, Iterator
@@ -230,6 +229,10 @@ def run_plan(plan: SimPlan) -> Iterator[SimRecord]:
         for task in tasks:
             yield from _run_replicate(*task)
         return
+    # imported here, so that a serial run, and every CLI start, does not
+    # load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for task in tasks:

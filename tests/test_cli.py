@@ -303,8 +303,20 @@ class TestBound:
         argv[argv.index(flag) + 1] = "9" * 401
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{name} must be an integer in [1, 2**53]" in err
-        assert "Traceback" not in err
+        assert f"{flag} must be an integer in [1, 2**53]" in err
+        assert f" {name} " not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T-n", "0", "--T-n must be an integer in [1, 2**53]"),
+        ("--c-lip", "inf", "--c-lip must be positive and finite"),
+    ])
+    def test_error_names_the_flag_typed(self, capsys, flag, value, message):
+        argv = self.BASE + ["--delta", "0.035"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "T_n" not in err and "c_lip" not in err
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["bound", "--m", "10"]) == 2

@@ -210,6 +210,22 @@ class TestResidualSupnorm:
         value = residual_supnorm(X, truth, spec, samples=1, epsilon=0.3, seed=seed)
         assert value == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    def test_epsilon_negative_or_not_finite_rejected(self, epsilon):
+        spec = bc.design_spec("gaussian", 1, 60)
+        X, truth = bc.generate(spec, 60, 60, seed=1)
+        with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0"):
+            residual_supnorm(X, truth, spec, samples=5, epsilon=epsilon, seed=0)
+
+    def test_floor_no_labeling_meets_rejected_at_entry(self):
+        """epsilon = 0.49 asks for three column classes of 30 of the 60
+        columns: refused at once, not after 1000 draws."""
+        spec = bc.design_spec("gaussian", 1, 60)
+        X, truth = bc.generate(spec, 60, 60, seed=1)
+        with pytest.raises(ValueError, match=r"^L = 3 classes of at least 30 items "
+                                             r"\(epsilon 0.49\) exceed n = 60$"):
+            residual_supnorm(X, truth, spec, samples=5, epsilon=0.49, seed=0)
+
     def test_shrinks_with_size(self):
         spec_small = bc.design_spec("gaussian", 1, 200)
         spec_big = bc.design_spec("gaussian", 1, 1600)

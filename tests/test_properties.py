@@ -71,6 +71,11 @@ def F(X, labels, f):
     return criterion_value(block_stats(X, labels), f)
 
 
+def floors(X, min_frac):
+    """The least row and column class sizes under ``min_frac``."""
+    return class_floor(min_frac, X.m), class_floor(min_frac, X.n)
+
+
 @given(problems())
 def test_sweep_never_lowers_criterion(problem):
     X, labels, f, min_frac = problem
@@ -85,7 +90,7 @@ def test_sweep_never_lowers_criterion(problem):
 @given(problems())
 def test_scored_deltas_match_move_delta(problem):
     X, labels, f, min_frac = problem
-    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
     assert f0 == F(X, labels, f)
     stats = block_stats(X, labels)
     scale = max(1.0, abs(f0))
@@ -110,11 +115,10 @@ def test_running_criterion_is_exact(problem):
         replayed.append((moves.tolist(), deltas.tolist()))
         return deltas
 
-    sides, f0_sweep = optimizer._sides(X, labels, f, min_frac)
+    sides, f0_sweep = optimizer._sides(X, labels, f, floors(X, min_frac))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_replay", replay_spy)
-        new, new_sides, f1, kept = optimizer._sweep(X, labels, sides, f0_sweep,
-                                                     f, min_frac)
+        new, new_sides, f1, kept = optimizer._sweep(X, labels, sides, f0_sweep)
 
     f0 = F(X, labels, f)
     # the sweep reports the criterion of its input and of its output
@@ -225,7 +229,7 @@ def sequential_sweep(X, labels, f, min_frac):
     ``sequential_apply``).  Returns the applied moves (axis, item, from,
     to), their deltas, the running criterion, the kept prefix, the labels
     kept and the number of moves skipped as illegal."""
-    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
     moves = []
     for axis, side in enumerate(sides):
         target, delta = side.best_moves()
@@ -273,12 +277,12 @@ def check_replay_matches_sequential(X, labels, f, min_frac):
         replayed.append((moves.tolist(), out))
         return out
 
-    sides, f0 = optimizer._sides(X, labels, f, min_frac)
+    sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
     before = [(side.lines.copy(), side.S.copy(), side.counts.copy(),
                side.cells.copy()) for side in sides]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_replay", replay_spy)
-        new, _, f1, got_kept = optimizer._sweep(X, labels, sides, f0, f, min_frac)
+        new, _, f1, got_kept = optimizer._sweep(X, labels, sides, f0)
     [(moves, got)] = replayed
     assert moves == applied
     assert got.tolist() == deltas
@@ -303,6 +307,34 @@ def test_replay_matches_sequential_apply(problem):
     axes = {axis for axis, *_ in applied}
     event(f"axes moved: {sorted(axes)}")
     event("a move skipped as illegal" if skipped else "no move skipped")
+
+
+@given(replay_problems())
+def test_kept_sweep_state_equals_a_fresh_rebuild(problem):
+    """The state a kept sweep returns, which keeps the row (column) lines
+    when only rows (columns) moved, equals a rebuild from scratch of the
+    kept labels bit for bit: lines, S, class sizes, cell terms and F."""
+    X, labels, f, min_frac = problem
+    sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
+    new, new_sides, f1, kept = optimizer._sweep(X, labels, sides, f0)
+    if not kept:
+        event("no move kept")
+        return
+    moved = [not np.array_equal(new.row_labels, labels.row_labels),
+             not np.array_equal(new.col_labels, labels.col_labels)]
+    event(f"rows moved: {moved[0]}, columns moved: {moved[1]}")
+    fresh, f_fresh = optimizer._sides(X, new, f, floors(X, min_frac))
+    assert f1 == f_fresh
+    for got, want in zip(new_sides, fresh):
+        assert got.min_count == want.min_count
+        for name in ("labels", "lines", "S", "counts", "other_counts", "cells"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+    # an axis keeps its lines exactly when the opposite axis did not move
+    for axis in (0, 1):
+        assert np.shares_memory(new_sides[axis].lines, sides[axis].lines) == (
+            not moved[1 - axis])
 
 
 #: row and column moves, as (axis, item, target); each ordering below puts
@@ -336,7 +368,7 @@ def test_replay_walk_edge_cases_match_sequential_apply(order, scale):
     X = bc.DataMatrix(rng.standard_normal((9, 7)) * float(scale))
     labels = bc.LabelAssignment(np.arange(9) % 3, np.arange(7) % 3, 3, 3)
     f = rate_function("gaussian")
-    sides, _ = optimizer._sides(X, labels, f, 0.0)
+    sides, _ = optimizer._sides(X, labels, f, floors(X, 0.0))
     axis, item, target = (np.array(v) for v in zip(*WALK_ORDERS[order]))
     applied, deltas, skipped = sequential_apply(sides, WALK_ORDERS[order], f)
     moves = optimizer._legal(sides, axis, item, target)
@@ -498,6 +530,28 @@ def test_lockstep_repairs_an_empty_cluster_per_start():
     # the repair moved point 2, the farthest from its centroid, to class 2
     assert labels[1][2] == 2 and np.bincount(labels[1]).min() >= 1
     assert np.bincount(labels[3], minlength=3).min() >= 1
+
+
+def test_lockstep_repair_on_a_transposed_view():
+    """The column k-means runs on the view X.T, not on a copy.  Start 0's
+    third centre is nearest to no point of that view, so it is re-seeded;
+    both starts match the one-start loop run on a contiguous copy."""
+    X = np.array([[0.0, 1.0, 2.0, 10.0, 11.0, 12.0],
+                  [0.5, 0.0, 1.0, 0.0, 2.0, 1.0]])
+    points = X.T
+    assert not points.flags.c_contiguous
+    centers = np.array([[[0.0, 0.0], [11.0, 1.0], [1000.0, 0.0]],
+                        [[1.0, 0.0], [2.0, 1.0], [11.0, 1.0]]])
+    pp = np.einsum("ij,ij->i", points, points)
+    labels, sums, counts = optimizer._lloyd(points, pp, centers.copy(), 50)
+    for s in range(2):
+        expected = _oracle_lloyd(np.ascontiguousarray(points), centers[s], 50)
+        assert np.array_equal(labels[s], expected)
+        assert np.array_equal(counts[s], np.bincount(expected, minlength=3))
+        for axis in range(2):
+            assert np.array_equal(sums[s][:, axis],
+                                  np.bincount(expected, points[:, axis], minlength=3))
+    assert np.bincount(labels[0], minlength=3).min() >= 1
 
 
 def test_lockstep_repair_that_empties_a_class_repairs_it_too():

@@ -271,6 +271,25 @@ class TestParallel:
         assert parallel == serial
 
 
+    def test_cli_import_loads_no_process_pool(self):
+        """Only a run with several workers needs the process pool, so
+        importing the CLI leaves multiprocessing unloaded."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(simharness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        script = ("import sys, blockcluster.cli; "
+                  "print(sorted(m for m in sys.modules if m.startswith("
+                  "('multiprocessing', 'concurrent.futures.process'))))")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestStreaming:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_first_record_before_the_tasks_are_listed(self, monkeypatch, workers):
