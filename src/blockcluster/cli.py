@@ -9,6 +9,7 @@ files are 0-based.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -29,13 +30,21 @@ def _read_matrix(path, fmt):
     return matrixio.read_matrix_csv(path)
 
 
+def _from_flags(build, args, names: list[str]):
+    """``build`` given the flags ``names``; an error naming one names its flag."""
+    try:
+        return build(**{name: getattr(args, name) for name in names})
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in names:
+            raise
+        raise type(exc)(f"--{name.replace('_', '-')} {rest}") from exc
+
+
 def cmd_fit(args) -> int:
     X = _read_matrix(args.input, args.format)
-    config = optimizer.FitConfig(
-        K=args.K, L=args.L, rate=args.rate, restarts=args.restarts,
-        max_sweeps=args.max_sweeps, min_frac=args.min_frac,
-        kmeans_iters=args.kmeans_iters, seed=args.seed,
-    )
+    config = _from_flags(optimizer.FitConfig, args,
+                         "K L rate restarts max_sweeps min_frac kmeans_iters seed".split())
     t0 = time.perf_counter()
     result = optimizer.fit(X, config)
     elapsed_ms = 1e3 * (time.perf_counter() - t0)
@@ -62,7 +71,7 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     plan = simharness.parse_plan_file(args.plan)
     if args.seed is not None:
-        plan.seed = args.seed
+        plan = _from_flags(lambda seed: dataclasses.replace(plan, seed=seed), args, ["seed"])
     prefix = args.output or plan.output_path or "simulation"
     records_path = f"{prefix}.records.csv"
     written = list(simharness.write_records(simharness.run_plan(plan), records_path))
@@ -101,16 +110,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        inp = evaluation.TailBoundInput(
-            m=args.m, n=args.n, K=args.K, L=args.L, epsilon=args.epsilon,
-            delta=args.delta, tau=args.tau, sigma=args.sigma, c_lip=args.c_lip,
-            T_n=args.T_n,
-        )
-    except ValueError as exc:
-        # each message opens with the field's name; the user typed the flag
-        name, _, rest = str(exc).partition(" ")
-        raise ValueError(f"--{name.replace('_', '-')} {rest}") from exc
+    inp = _from_flags(evaluation.TailBoundInput, args,
+                      "m n K L epsilon delta tau sigma c_lip T_n".split())
     print(json.dumps({"bound": evaluation.gaussian_tail_bound(inp)}))
     return EXIT_OK
 

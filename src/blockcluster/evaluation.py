@@ -17,7 +17,7 @@ import numpy as np
 
 from .criterion import RateFunction, block_stats, check_shape
 from .model import (
-    BlockModelSpec, DataMatrix, LabelAssignment, class_floors, derived_rng,
+    BlockModelSpec, DataMatrix, LabelAssignment, check_int, class_floors, derived_rng,
     draw_labels, identifiable,
 )
 
@@ -157,6 +157,7 @@ def population_gap_check(M0: np.ndarray, f: RateFunction, p: np.ndarray,
     q = np.asarray(q, dtype=np.float64)
     if not identifiable(M0):
         raise ValueError("mean matrix has two identical rows or columns")
+    check_int(trials, "trials")
     K, L = M0.shape
     rng = derived_rng(seed)
     diagonal = math.fsum(
@@ -209,6 +210,7 @@ def residual_supnorm(X: DataMatrix, truth: LabelAssignment, spec: BlockModelSpec
     check_shape(X, truth)
     if spec.K != truth.K or spec.L != truth.L:
         raise ValueError("spec and truth class counts disagree")
+    check_int(samples, "samples")
     rng = derived_rng(seed)
     row_floor, col_floor = class_floors(epsilon, "epsilon", spec.K, spec.L, X.m, X.n)
     worst = 0.0
@@ -248,8 +250,7 @@ class TailBoundInput:
 
     def __post_init__(self):
         for name in ("m", "n", "K", "L", "T_n"):
-            if not 1 <= getattr(self, name) <= 2**53:
-                raise ValueError(f"{name} must be an integer in [1, 2**53]")
+            check_int(getattr(self, name), name, 1, 2**53)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         for name in ("tau", "sigma", "c_lip"):

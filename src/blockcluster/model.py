@@ -7,6 +7,8 @@ Conventions
 - A labeling is epsilon-nontrivial when every class of an axis of ``size``
   items holds at least ``class_floor(epsilon, size)``: ``fit``'s ``min_frac``
   and ``residual_supnorm``'s ``epsilon`` both mean this.
+- Counts (K <= m, L <= n, sizes, iterations) are ints >= 1 and seeds ints
+  >= 0, unbounded, never bools or floats; ``check_int`` checks each on entry.
 - All randomness flows through numpy's PCG64 generator.  Derived streams
   (per restart, per replicate) are obtained from
   ``SeedSequence([base_seed, *path])`` so results are reproducible across
@@ -44,14 +46,24 @@ _DESIGN_P = np.array([0.3, 0.7])
 _DESIGN_Q = np.array([0.2, 0.3, 0.5])
 
 
+def check_int(value, name: str, low: int = 1, high: Optional[int] = None):
+    """int(value) for an int or NumPy int (not bool) in [low, high]; else ValueError."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if is_int and low <= value and (high is None or value <= high):
+        return int(value)
+    top = high if (high or 0) < 2**32 or high & high - 1 else f"2**{high.bit_length() - 1}"
+    span = f">= {low} and an integer" if high is None else f"an integer in [{low}, {top}]"
+    raise ValueError(f"{name} must be {span}" + ("" if is_int else f", got {value!r}"))
+
+
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic sub-stream for (seed, path); safe for parallel use."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    return np.random.default_rng([check_int(seed, "seed", 0), *map(int, path)])
 
 
 def derived_seed(seed: int, *path: int) -> int:
     """A single 64-bit integer seed derived from (seed, path)."""
-    ss = np.random.SeedSequence([int(seed), *map(int, path)])
+    ss = np.random.SeedSequence([check_int(seed, "seed", 0), *map(int, path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -91,20 +103,15 @@ class LabelAssignment:
     L: int
 
     def __post_init__(self):
-        g = np.asarray(self.row_labels, dtype=np.int64)
-        h = np.asarray(self.col_labels, dtype=np.int64)
-        if g.ndim != 1 or h.ndim != 1:
-            raise ValueError("label vectors must be 1-dimensional")
-        if self.K < 1 or self.L < 1:
-            raise ValueError("K and L must be positive")
-        if self.K > g.size or self.L > h.size:
-            raise ValueError("K (L) may not exceed the number of rows (columns)")
-        if g.size and (g.min() < 0 or g.max() >= self.K):
-            raise ValueError("row label out of range")
-        if h.size and (h.min() < 0 or h.max() >= self.L):
-            raise ValueError("column label out of range")
-        object.__setattr__(self, "row_labels", g)
-        object.__setattr__(self, "col_labels", h)
+        for key, k in (("row_labels", "K"), ("col_labels", "L")):
+            v = np.asarray(getattr(self, key))
+            if v.ndim != 1 or v.dtype.kind not in "iu":
+                raise ValueError(f"{key} must be a 1-D integer array, got {v.dtype} {v.shape}")
+            check_int(getattr(self, k), k, 1, v.size)
+            v = v.astype(np.int64, copy=False)  # no copy: fit makes one per kept sweep
+            if v.min() < 0 or v.max() >= getattr(self, k):
+                raise ValueError(f"{key} must lie in [0, {k})")
+            object.__setattr__(self, key, v)
 
     @property
     def m(self) -> int:
@@ -158,8 +165,8 @@ class BlockModelSpec:
         p = np.asarray(self.p, dtype=np.float64)
         q = np.asarray(self.q, dtype=np.float64)
         M = np.asarray(self.M, dtype=np.float64)
-        if self.K < 1 or self.L < 1:
-            raise ValueError("K and L must be positive")
+        check_int(self.K, "K")
+        check_int(self.L, "L")
         if p.shape != (self.K,) or q.shape != (self.L,):
             raise ValueError("p must have length K and q length L")
         if np.any(p < 0) or np.any(q < 0):
@@ -168,8 +175,8 @@ class BlockModelSpec:
             raise ValueError("p and q must each sum to 1 within 1e-12")
         if M.shape != (self.K, self.L):
             raise ValueError(f"M must have shape ({self.K}, {self.L}), got {M.shape}")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in RATE_KINDS:
@@ -180,11 +187,11 @@ class BlockModelSpec:
                 raise DomainError(f"{f.kind} mean {M[k, l]} for block ({k}, {l}) "
                                   f"outside {f.domain}")
         if self.family in ("gaussian", "student_t"):
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError(f"{self.family} family requires sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ValueError(f"{self.family} family requires a finite sigma > 0")
         if self.family == "student_t":
-            if self.nu is None or self.nu <= 0:
-                raise ValueError("student_t family requires nu > 0")
+            if self.nu is None or not 0 < self.nu < math.inf:
+                raise ValueError("student_t family requires a finite nu > 0")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "M", M)
@@ -203,8 +210,9 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
     """
     if design not in DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_int(n, "n")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     base = _BASE_MEANS[design]
     if design in ("poisson", "bernoulli"):
         rho = float(b) / math.sqrt(n)
@@ -271,9 +279,9 @@ def generate(spec: BlockModelSpec, m: int, n: int, seed: int):
     Returns ``(DataMatrix, LabelAssignment)``.  Identical (spec, m, n, seed)
     yield bit-identical output.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    check_int(m, "m")
+    check_int(n, "n")
+    rng = derived_rng(seed)
     c = draw_labels(rng, spec.K, m, p=spec.p)
     d = draw_labels(rng, spec.L, n, p=spec.q)
     mu = spec.M[c][:, d]

@@ -68,7 +68,7 @@ from .criterion import (
 )
 from .errors import PartitionError
 from .model import (
-    DataMatrix, LabelAssignment, class_floor, class_floors, derived_rng, derived_seed,
+    DataMatrix, LabelAssignment, check_int, class_floors, derived_rng, derived_seed,
 )
 
 #: k-means++ starts per k-means initialization; the best one is kept
@@ -77,7 +77,7 @@ KMEANS_STARTS = 10
 CONVERGENCE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     K: int
     L: int
@@ -89,16 +89,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1 or self.L < 1:
-            raise ValueError("K and L must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        for key in ("K", "L", "restarts", "max_sweeps", "kmeans_iters", "seed"):
+            check_int(getattr(self, key), key, 0 if key == "seed" else 1)
         if not 0.0 <= self.min_frac < 0.5:
             raise ValueError("min_frac must lie in [0, 0.5)")
-        if self.kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be >= 1")
+        RateFunction(self.rate)
 
 
 @dataclass
@@ -254,10 +249,9 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
     best of ``KMEANS_STARTS`` k-means++ starts of at most ``iters`` Lloyd
     steps, run in lockstep with a distance block no larger than X (see
     ``_kmeans_labels``)."""
-    if K > X.m or L > X.n:
-        raise ValueError("K (L) may not exceed the number of rows (columns)")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    check_int(K, "K", 1, X.m)
+    check_int(L, "L", 1, X.n)
+    check_int(iters, "iters")
     check_norms(X)
     g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
     h = _kmeans_labels(X.values.T, L, derived_rng(seed, 1), iters)
@@ -455,7 +449,7 @@ def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     """One greedy sweep over all rows and columns; returns (labels, gain)."""
     check_support(X, f)
     check_norms(X)
-    floors = (class_floor(min_frac, X.m), class_floor(min_frac, X.n))
+    floors = class_floors(min_frac, "min_frac", labels.K, labels.L, X.m, X.n)
     sides, f0 = _sides(X, labels, f, floors)
     new_labels, _, f1, _ = _sweep(X, labels, sides, f0)
     return new_labels, f1 - f0

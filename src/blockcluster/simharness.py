@@ -72,9 +72,8 @@ class SimPlan:
             raise ValueError(f"unknown design {self.design!r}")
         if not self.n_values or not self.gamma_values or not self.b_values:
             raise ValueError("n_values, gamma_values, and b_values must be non-empty")
-        for key in ("replicates", "max_sweeps", "kmeans_iters"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("replicates", "max_sweeps", "kmeans_iters", "seed"):
+            model.check_int(getattr(self, key), key, 0 if key == "seed" else 1)
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for meth in self.methods:
@@ -91,16 +90,14 @@ class SimPlan:
         """Raise ValueError, naming the plan key, unless the design can make
         this cell's round(gamma * n) x n matrix and fit its classes to it."""
         cell = f"in cell (n = {n}, gamma = {gamma}, b = {b})"
-        if not math.isfinite(b):
-            raise ValueError(f"b_values: b is not finite {cell}")
         try:
+            spec = model.design_spec(self.design, b, n)
             m = gamma * n
         except OverflowError as exc:  # n past the float range
             raise ValueError(f"n_values: {exc} {cell}") from None
-        try:
-            spec = model.design_spec(self.design, b, n)
         except ValueError as exc:
-            raise ValueError(f"{'n_values' if n < 1 else 'b_values'}: {exc} {cell}") from None
+            key = "n_values" if str(exc).startswith("n ") else "b_values"
+            raise ValueError(f"{key}: {exc} {cell}") from None
         if n < spec.L:
             raise ValueError(f"n_values: n is below the {self.design} design's "
                              f"L = {spec.L} column classes {cell}")
@@ -207,11 +204,9 @@ def _worker_count(tasks: int) -> int:
     raises ValueError."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        workers = int(raw)
+        workers = model.check_int(int(raw), WORKERS_ENV)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}") from None
     return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 

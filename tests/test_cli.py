@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -143,6 +144,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert "K = 3" in err and "min_frac 0.4" in err and "m = 10" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--max-sweeps", "0"), ("--kmeans-iters", "-2"),
+        ("--restarts", "0"), ("--K", "0"),
+    ])
+    def test_bad_count_or_seed_names_the_flag(self, tmp_path, capsys, flag, value):
+        """--seed -1 used to print only SeedSequence's "expected
+        non-negative integer"."""
+        inp = write_planted(tmp_path)
+        argv = ["fit", "--input", str(inp), "--output", str(tmp_path / "o"),
+                "--K", "2", "--L", "2", "--rate", "gaussian"]
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"blockcluster: {flag} must be >= " in err
+        assert "non-negative" not in err and "Traceback" not in err
+        assert not (tmp_path / "o.report.json").exists()
+
     def test_unknown_rate_is_usage_error(self, tmp_path):
         inp = write_planted(tmp_path)
         code = main([
@@ -197,6 +214,43 @@ class TestSimulate:
             return rows
 
         assert strip_timing(paths[0]) == strip_timing(paths[1])
+
+    def test_seed_flag_overrides_the_plan(self, tmp_path, capout):
+        plan = self.write_plan(tmp_path)
+        seeds = []
+        for tag, extra in (("plan", []), ("flag", ["--seed", "4"])):
+            prefix = tmp_path / tag
+            assert main(["simulate", "--plan", str(plan), "--output", str(prefix),
+                         *extra]) == 0
+            with open(f"{prefix}.records.csv") as fh:
+                seeds.append([row["seed"] for row in csv.DictReader(fh)])
+        capout()
+        assert seeds[0] != seeds[1]
+        with open(plan, "a") as fh:
+            fh.write("seed = 4\n")
+        assert main(["simulate", "--plan", str(plan), "--output",
+                     str(tmp_path / "edited")]) == 0
+        with open(tmp_path / "edited.records.csv") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == seeds[1]
+
+    @pytest.mark.parametrize("where", ["flag", "plan"])
+    def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys, where):
+        """A negative seed, from --seed or from the plan file, exits 2
+        naming the flag or the file and key, and writes no records; it used
+        to print only "expected non-negative integer"."""
+        plan = self.write_plan(tmp_path)
+        argv = ["simulate", "--plan", str(plan), "--output", str(tmp_path / "sim")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            plan.write_text(plan.read_text() + "seed = -1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        expected = ("--seed must be >= 0" if where == "flag"
+                    else f"{plan}: seed must be >= 0")
+        assert f"blockcluster: {expected}" in err
+        assert "non-negative" not in err and "Traceback" not in err
+        assert not (tmp_path / "sim.records.csv").exists()
 
     def test_unknown_design_is_usage_error(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path, design="weibull")

@@ -142,6 +142,13 @@ class TestPopulationGapCheck:
         assert report["worst_gap"] < 0
         assert report["kappa_empirical"] > 0
 
+    @pytest.mark.parametrize("trials", [0, -1, 2.0])
+    def test_trial_count_checked(self, trials):
+        spec = bc.design_spec("poisson", 10, 500)
+        with pytest.raises(ValueError, match=r"^trials must be >= 1 and an integer"):
+            population_gap_check(spec.M / spec.rho, rate_function("poisson"), spec.p,
+                                 spec.q, trials=trials, seed=0)
+
     def test_rejects_nonidentifiable(self):
         M0 = np.array([[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="identical"):
@@ -216,6 +223,14 @@ class TestResidualSupnorm:
         X, truth = bc.generate(spec, 60, 60, seed=1)
         with pytest.raises(ValueError, match=r"^epsilon must be finite and >= 0"):
             residual_supnorm(X, truth, spec, samples=5, epsilon=epsilon, seed=0)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1.5])
+    def test_sample_count_checked(self, samples):
+        """samples = -1 used to return 0.0, a lower bound over no labelings."""
+        spec = bc.design_spec("gaussian", 1, 60)
+        X, truth = bc.generate(spec, 60, 60, seed=1)
+        with pytest.raises(ValueError, match=r"^samples must be >= 1 and an integer"):
+            residual_supnorm(X, truth, spec, samples=samples, epsilon=0.1, seed=0)
 
     def test_floor_no_labeling_meets_rejected_at_entry(self):
         """epsilon = 0.49 asks for three column classes of 30 of the 60

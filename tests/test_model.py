@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import blockcluster as bc
 from blockcluster.errors import DomainError
-from blockcluster.model import class_floor
+from blockcluster.model import check_int, class_floor, derived_rng, derived_seed
 
 
 def test_single_block_degenerate_case():
@@ -124,6 +126,86 @@ def test_label_assignment_validation():
         bc.LabelAssignment(np.array([0, 3]), np.array([0]), K=2, L=1)
     with pytest.raises(ValueError):
         bc.LabelAssignment(np.array([0]), np.array([0]), K=2, L=1)
+
+
+@pytest.mark.parametrize("rows", [[0.5, 1.0], [0.0, 1.0], [True, False]],
+                         ids=["fractional", "integral-float", "bool"])
+def test_label_assignment_takes_integer_labels_only(rows):
+    """Labels are not rounded: [0.5, 1.0] used to become [0, 1]."""
+    with pytest.raises(ValueError, match=r"^row_labels must be a 1-D integer array"):
+        bc.LabelAssignment(rows, [0, 1], 2, 2)
+
+
+def test_label_assignment_keeps_int64_labels_without_a_copy():
+    g = np.array([0, 1, 1])
+    assert bc.LabelAssignment(g, np.array([0, 0]), 2, 1).row_labels is g
+    narrow = bc.LabelAssignment(np.array([0, 1], dtype=np.uint8), [0], 2, 1)
+    assert narrow.row_labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2), 2**80])
+def test_check_int_accepts_ints_and_numpy_integers(value):
+    result = check_int(value, "count")
+    assert result == value and type(result) is int
+
+
+@pytest.mark.parametrize("value, low, high, message", [
+    (0, 1, None, "count must be >= 1 and an integer"),
+    (-1, 0, None, "count must be >= 0 and an integer"),
+    (True, 1, None, "count must be >= 1 and an integer, got True"),
+    (2.0, 1, None, "count must be >= 1 and an integer, got 2.0"),
+    (math.nan, 1, None, "count must be >= 1 and an integer, got nan"),
+    (np.float64(3.0), 1, None, "count must be >= 1 and an integer, got np.float64(3.0)"),
+    ("3", 1, None, "count must be >= 1 and an integer, got '3'"),
+    (7, 1, 6, "count must be an integer in [1, 6]"),
+    (2**53 + 1, 1, 2**53, "count must be an integer in [1, 2**53]"),
+    (2**40, 1, 2**40 - 1, "count must be an integer in [1, 1099511627775]"),
+])
+def test_check_int_rejects_with_name_and_range(value, low, high, message):
+    with pytest.raises(ValueError) as info:
+        check_int(value, "count", low, high)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True])
+def test_derived_streams_check_the_seed(seed):
+    for derive in (derived_rng, derived_seed):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 and an integer"):
+            derive(seed, 1)
+
+
+def test_seeds_have_no_upper_bound():
+    """derived_seed yields 64-bit seeds, and those are derived from again."""
+    big = derived_seed(2**64 - 1, 2)
+    assert big == derived_seed(np.uint64(2**64 - 1), 2)
+    derived_rng(big, 0)
+    derived_rng(2**80)
+
+
+def test_derived_rng_is_the_seed_sequence_stream():
+    """generate draws from derived_rng(seed): the stream of the
+    SeedSequence([seed]) it used to build itself."""
+    for seed, path in ((9, ()), (2**64 + 3, (1, 2))):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, *path]))
+        assert (derived_rng(seed, *path).random(3) == expected.random(3)).all()
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_design_spec_rejects_non_finite_b(b):
+    """b = nan used to give a spec, and generate a NaN matrix from it."""
+    for design in bc.model.DESIGNS:
+        with pytest.raises(ValueError, match=r"^b must be finite"):
+            bc.design_spec(design, b, 100)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("name", ["rho", "sigma", "nu"])
+def test_block_model_spec_scales_positive_and_finite(name, value):
+    """A NaN or infinite scale used to pass the ``<= 0`` checks."""
+    args = dict(K=1, L=1, p=[1.0], q=[1.0], M=[[0.0]], rho=1.0, family="student_t",
+                sigma=1.0, nu=4.0)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        bc.BlockModelSpec(**{**args, name: value})
 
 
 def test_data_matrix_rejects_nonfinite():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -66,7 +67,30 @@ class TestKmeansInit:
             kmeans_init(X, 2, 2, seed=0, iters=0)
 
 
+def test_fit_config_is_frozen():
+    """Its fields are checked once, at construction: max_sweeps = 0 set
+    afterwards used to end fit in UnboundLocalError."""
+    config = FitConfig(K=2, L=2, rate="gaussian")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_sweeps = 0
+
+
 class TestKlSweep:
+    @pytest.mark.parametrize("min_frac, message", [
+        (float("nan"), "min_frac must be finite and >= 0, got nan"),
+        (-1.0, "min_frac must be finite and >= 0, got -1.0"),
+        (0.6, "K = 2 classes of at least 12 items (min_frac 0.6) exceed m = 20"),
+    ], ids=["nan", "negative", "no-labeling-meets"])
+    def test_min_frac_checked_at_entry(self, min_frac, message):
+        """nan used to fail inside Fraction, -1 to run as 0 and 0.6 to
+        raise PartitionError naming no argument."""
+        g, h = np.arange(20) % 2, np.arange(6) % 2
+        X = planted_matrix(np.eye(2), g, h)
+        with pytest.raises(ValueError) as info:
+            kl_sweep(X, bc.LabelAssignment(g, h, 2, 2), rate_function("gaussian"),
+                     min_frac)
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_fixed_point_at_optimum(self):
         means = np.array([[0.0, 10.0], [10.0, 0.0]])
         g, h = [0, 0, 1, 1], [0, 0, 1, 1]

@@ -1,6 +1,6 @@
 """Property tests of the sweep engine, the lockstep k-means, the
-misclassification matching, the matrix file formats and the CLI on
-malformed inputs.
+misclassification matching, the matrix file formats, and the library entry
+points and the CLI on malformed inputs.
 
 Sizes stay small so the whole module runs in a few seconds.  The number of
 examples comes from the hypothesis profile (``tests/conftest.py``); both
@@ -10,6 +10,8 @@ profiles are derandomized, so every run checks the same cases.
 import contextlib
 import io
 import itertools
+import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
-from blockcluster import cli, evaluation, matrixio, optimizer  # noqa: E402
+from blockcluster import cli, evaluation, matrixio, optimizer, simharness  # noqa: E402
 from blockcluster.model import class_floor, derived_rng, draw_labels  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
     TIE_TOL,
@@ -695,6 +697,123 @@ def test_misclassification_label_permutation_invariant(pair, seed):
     rates = bc.misclassification(t, e)
     assert bc.misclassification(t, renamed) == rates
     assert bc.misclassification(reordered, shuffled) == rates
+
+
+# -- library entry points on malformed arguments --------------------------
+
+#: a 6 x 4 matrix and a 2 x 2 labeling of it, the valid arguments that every
+#: call below keeps but one
+SMALL_X = bc.DataMatrix(np.arange(24.0).reshape(6, 4) % 5)
+SMALL_LABELS = bc.LabelAssignment(np.arange(6) % 2, np.arange(4) % 2, 2, 2)
+GAUSS = rate_function("gaussian")
+
+#: not an int: any float (integral, non-finite), bool, NumPy float or None
+NOT_INTS = st.one_of(st.floats(), st.booleans(), st.just(np.float64(2.0)), st.none())
+
+
+def ints_below(low):
+    """Malformed values for an integer argument whose least value is low."""
+    return st.one_of(NOT_INTS, st.integers(max_value=low - 1),
+                     st.integers(-2**63, low - 1).map(np.int64))
+
+
+COUNTS, SEEDS = ints_below(1), ints_below(0)
+
+
+def above(size):
+    """Class counts past the ``size`` items they label."""
+    return st.integers(size + 1, size + 2**70)
+
+
+def fit_config(**args):
+    return bc.FitConfig(**{"K": 2, "L": 2, "rate": "gaussian", "max_sweeps": 2,
+                           "kmeans_iters": 2, **args})
+
+
+def spec(**args):
+    return bc.BlockModelSpec(**{"K": 2, "L": 2, "p": [0.5, 0.5], "q": [0.5, 0.5],
+                                "M": np.eye(2), "rho": 1.0, "family": "gaussian",
+                                "sigma": 1.0, **args})
+
+
+def plan(**args):
+    return simharness.SimPlan(**{"design": "gaussian", "n_values": [6],
+                                 "gamma_values": [1.0], "b_values": [5.0],
+                                 "replicates": 1, "methods": ["KM"], "seed": 0, **args})
+
+
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+BAD_FRACS = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan), st.just(math.inf))
+
+
+def not_int_labels(size):
+    """Label vectors of floats or bools."""
+    return st.one_of(st.lists(st.floats(0, 1), min_size=size, max_size=size),
+                     st.lists(st.booleans(), min_size=size, max_size=size))
+
+
+#: entry point -> (call with one keyword argument, strategy of malformed
+#: values of each argument)
+ENTRY_POINTS = {
+    "FitConfig": (fit_config, {
+        "K": COUNTS, "L": COUNTS, "restarts": COUNTS, "max_sweeps": COUNTS,
+        "kmeans_iters": COUNTS, "seed": SEEDS, "rate": st.just("bogus"),
+        "min_frac": st.one_of(BAD_FRACS, st.floats(0.5, allow_nan=False))}),
+    "fit": (lambda **a: bc.fit(SMALL_X, fit_config(**a)), {
+        "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
+        "seed": SEEDS}),
+    "kl_sweep": (lambda **a: bc.kl_sweep(SMALL_X, SMALL_LABELS, GAUSS, **a), {
+        "min_frac": st.one_of(BAD_FRACS, st.floats(0.51, allow_nan=False))}),
+    "kmeans_init": (lambda **a: bc.kmeans_init(**{"X": SMALL_X, "K": 2, "L": 2, "seed": 0,
+                                                  "iters": 2, **a}), {
+        "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
+        "seed": SEEDS, "iters": COUNTS}),
+    "generate": (lambda **a: bc.generate(**{"spec": spec(), "m": 6, "n": 4, "seed": 0,
+                                            **a}), {
+        "m": COUNTS, "n": COUNTS, "seed": SEEDS}),
+    "design_spec": (lambda **a: bc.design_spec(**{"design": "poisson", "b": 5.0, "n": 9,
+                                                  **a}), {
+        "n": COUNTS, "b": st.sampled_from([math.nan, math.inf, -math.inf])}),
+    "BlockModelSpec": (spec, {
+        "K": COUNTS, "L": COUNTS,
+        "rho": NOT_POSITIVE, "sigma": NOT_POSITIVE}),
+    "LabelAssignment": (lambda **a: bc.LabelAssignment(**{
+        "row_labels": np.arange(6) % 2, "col_labels": np.arange(4) % 2, "K": 2, "L": 2,
+        **a}), {
+        "K": st.one_of(COUNTS, above(6)), "L": st.one_of(COUNTS, above(4)),
+        "row_labels": not_int_labels(6), "col_labels": not_int_labels(4)}),
+    "SimPlan": (plan, {
+        "replicates": COUNTS, "max_sweeps": COUNTS, "kmeans_iters": COUNTS,
+        "seed": SEEDS, "n_values": st.lists(COUNTS, min_size=1, max_size=2),
+        "b_values": st.lists(st.sampled_from([math.nan, math.inf]), min_size=1,
+                             max_size=2)}),
+}
+
+
+@st.composite
+def malformed_calls(draw):
+    """(entry point, argument, value): one entry point called with one
+    malformed argument and valid others."""
+    entry = draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    name = draw(st.sampled_from(sorted(ENTRY_POINTS[entry][1])))
+    return entry, name, draw(ENTRY_POINTS[entry][1][name])
+
+
+@given(malformed_calls())
+def test_entry_points_reject_malformed_arguments(call):
+    """Each raises ValueError (DomainError and PartitionError are ones)
+    whose message names the argument: no TypeError or ZeroDivisionError
+    from inside NumPy or Python, no SeedSequence message, no warning."""
+    entry, name, value = call
+    event(f"{entry}.{name}")
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(ValueError) as info:
+        warnings.simplefilter("always")
+        ENTRY_POINTS[entry][0](**{name: value})
+    message = str(info.value)
+    assert re.search(rf"(^|\W){name}\W", message), message
+    assert "non-negative integer" not in message
+    assert not caught, [str(w.message) for w in caught]
 
 
 # -- the CLI on malformed inputs ------------------------------------------
