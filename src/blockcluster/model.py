@@ -56,6 +56,16 @@ def check_int(value, name: str, low: int = 1, high: Optional[int] = None):
     raise ValueError(f"{name} must be {span}" + ("" if is_int else f", got {value!r}"))
 
 
+def check_real(value, name: str) -> float:
+    """float(value) for a finite real number (not bool); else ValueError."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int past floats
+        pass
+    raise ValueError(f"{name} must be finite and a real number, got {value!r}")
+
+
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic sub-stream for (seed, path); safe for parallel use."""
     return np.random.default_rng([check_int(seed, "seed", 0), *map(int, path)])
@@ -210,12 +220,11 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
     """
     if design not in DESIGNS:
         raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
-    check_int(n, "n")
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b}")
+    check_int(n, "n", 1, 2**53)
+    b = check_real(b, "b")
     base = _BASE_MEANS[design]
     if design in ("poisson", "bernoulli"):
-        rho = float(b) / math.sqrt(n)
+        rho = b / math.sqrt(n)
         return BlockModelSpec(
             K=2, L=3, p=_DESIGN_P, q=_DESIGN_Q, M=rho * base, rho=rho, family=design
         )
@@ -224,7 +233,7 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
         L=3,
         p=_DESIGN_P,
         q=_DESIGN_Q,
-        M=float(b) * base,
+        M=b * base,
         rho=1.0,
         family=design,
         sigma=1.0,

@@ -1,28 +1,25 @@
 """Criterion maximization: k-means initialization plus greedy label sweeps.
 
-A sweep follows the Kernighan-Lin discipline:
+A sweep follows the Kernighan-Lin discipline, in four steps:
 
-1. for every row and column, score the best single-label move against the
-   frozen current labeling;
-2. apply the recorded moves in decreasing order of their step-1 score,
-   skipping any move that has become illegal (would shrink a class below
-   the minimum size), tracking the running criterion;
-3. keep the prefix of applied moves with the highest running criterion
-   (possibly the empty prefix).
+1. score: for every row and column, the best single-label move against the
+   frozen current labeling, through ``criterion.cell_terms``; only the
+   items whose best move leaves their class go on (``_Side.best_moves``);
+2. legal walk: one walk over those moves in decreasing order of their
+   step-1 score, with plain int class counts, skips any move that would
+   now shrink a class below the minimum size (``_legal``);
+3. replay: the criterion change of each applied move, from array
+   operations, not a loop over moves (``_replay``), through
+   ``criterion.line_move``, which ``move_delta`` calls with one move;
+4. rebuild: the prefix of applied moves with the highest running criterion
+   (possibly the empty prefix) is kept, and the state rebuilt from it.
 
 Each item moves at most once per sweep, so a sweep never decreases the
 criterion.  One engine serves both axes: a column move is a row move on the
 transpose, so the column side of the state holds transposed views of the
-row side's arrays.  Step 1 evaluates rate terms through
-``criterion.cell_terms``.  Step 2 is a replay, not a loop over moves: one
-walk over the sorted moves with plain int class counts settles which are
-legal; one walk over each axis's opposite moves adds their data, in move
-order, to the lines of the movers that follow them; one cumsum of the
-moves' updates over the whole sweep gives the class lines and sizes each
-move touches; and ``criterion.line_move``, which ``move_delta`` calls with
-one move, gives all deltas of an axis at once.  Every float addition
-happens in the same order as when the items are moved one at a time, so
-the deltas and labels are those of a sequential loop, bit for bit.
+row side's arrays.  Every float addition of the replay happens in the same
+order as when the items are moved one at a time, so the deltas and labels
+are those of a sequential loop, bit for bit.
 
 The state is read, never written, during a sweep.  It is rebuilt once per
 restart and once for each sweep that keeps moves, from the kept labeling:
@@ -280,9 +277,9 @@ class _Side:
     f: RateFunction
 
     def best_moves(self):
-        """(target, delta) per item under the frozen state; staying put wins
+        """(items, targets, deltas) of the items whose best move under the
+        frozen state leaves their class, items ascending; staying put wins
         ties within TIE_TOL, then the smallest class index."""
-        target, delta = self.labels.copy(), np.zeros(self.labels.size)
         movers = np.flatnonzero(self.counts[self.labels] > self.min_count)
         a, lines = self.labels[movers], self.lines[movers]
         # each line summed as line_move sums it, whatever the layout of
@@ -297,10 +294,8 @@ class _Side:
         d[idx, a] = 0.0
         best = d.max(axis=1)
         near = d >= (best - TIE_TOL)[:, None]
-        label = np.where(near[idx, a], a, near.argmax(axis=1))
-        target[movers] = label
-        delta[movers] = np.where(label == a, 0.0, best)
-        return target, delta
+        go = ~near[idx, a]
+        return movers[go], near[go].argmax(axis=1), best[go]
 
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
@@ -345,18 +340,19 @@ def _legal(sides, axis: np.ndarray, item: np.ndarray, target: np.ndarray):
     return np.array(applied, dtype=np.int64).reshape(-1, 4)
 
 
-def _turn_lines(side: _Side, items: np.ndarray, times: np.ndarray,
+def _turn_lines(side: _Side, times: np.ndarray, moves: np.ndarray,
                 opp: np.ndarray) -> np.ndarray:
-    """Each mover's line at its turn: its rebuilt line plus the data of the
-    earlier opposite-axis moves ``opp`` (rows time, item, from, to), added
-    in move order: the additions a running state makes as each move shifts
-    its item's data out of one class and into another.  The movers are
-    sorted by their turn, so each opposite move reaches a suffix of them;
-    the walk gathers the moved item's data once for that suffix and stops
-    at the first move that no mover follows."""
+    """The line of each of this side's movers at its turn.  Its moves are
+    the rows (axis, item, from, to) of ``moves`` at ``times``, the opposite
+    axis's those at ``opp``.  A mover's line is its rebuilt line plus the
+    data of the earlier opposite moves, added in move order as a running
+    state shifts them between classes.  Each opposite move reaches a suffix
+    of the movers; the walk gathers the moved item's data once for that
+    suffix and stops at the first move that no mover follows."""
+    items = moves[times, 1]
     out = side.lines[items].T.copy()
-    first = np.searchsorted(times, opp[:, 0])
-    for r, j, a, k in zip(first.tolist(), *opp[:, 1:].T.tolist()):
+    first = np.searchsorted(times, opp)
+    for r, j, a, k in zip(first.tolist(), *moves[opp, 1:].T.tolist()):
         if r == items.size:
             break
         x = side.X[items[r:], j]
@@ -365,14 +361,21 @@ def _turn_lines(side: _Side, items: np.ndarray, times: np.ndarray,
     return out.T
 
 
-def _touched(rows: _Side, moves: np.ndarray, lines: list):
-    """Per axis, for each of its moves: the two class lines (S[a], S[k]) it
-    touches and their sizes just before it, and the opposite class sizes.
-    S runs as one cumsum of the moves' -line/+line updates in move order,
-    and the class sizes, rows then columns, as one int cumsum of -1/+1.
-    The running S holds (moves + 1) K L floats; a sweep applies at most one
-    move per mover, and its scoring already holds several (movers, K, L)
-    arrays (``best_moves``), so the cumsum never raises a sweep's peak."""
+def _replay(sides, moves: np.ndarray) -> np.ndarray:
+    """The exact criterion change of each applied move (rows axis, item,
+    from, to), in order, replayed as array operations on the sweep's
+    unchanged rebuilt state: every sum adds the same numbers in the same
+    order as moving the items one at a time would.  Each move's class lines
+    (S[a], S[k]) and sizes just before it come from one cumsum of the
+    moves' -line/+line updates to S in move order, and one int cumsum of
+    -1/+1 to the class sizes, rows then columns; then ``line_move`` gives
+    all deltas of an axis at once.  The running S holds (moves + 1) K L
+    floats; a sweep applies at most one move per mover, and its scoring
+    already holds several (movers, K, L) arrays (``best_moves``), so the
+    cumsum never raises a sweep's peak."""
+    if not moves.size:  # no legal move: skip the set-up below, some 40 NumPy calls
+        return np.zeros(0)
+    rows = sides[0]
     K, L = rows.S.shape
     # entry t of run (of cnt) holds S (the class sizes) before move t
     run = np.zeros((moves.shape[0] + 1, K, L))
@@ -381,33 +384,16 @@ def _touched(rows: _Side, moves: np.ndarray, lines: list):
     cnt[0, :K], cnt[0, K:] = rows.counts, rows.other_counts
     views = [(run, cnt[:, :K]), (run.transpose(0, 2, 1), cnt[:, K:])]
     moved = [np.flatnonzero(moves[:, 0] == s) for s in (0, 1)]
+    lines = [_turn_lines(side, t, moves, o) for side, t, o in zip(sides, moved, moved[::-1])]
     for (S, c), t, line in zip(views, moved, lines):
         S[t[:, None] + 1, moves[t, 2:]] = np.stack([-line, line], axis=1)
         c[t[:, None] + 1, moves[t, 2:]] = [-1, 1]
     np.cumsum(run, axis=0, out=run)
     np.cumsum(cnt, axis=0, out=cnt)
-    pairs = [S[t[:, None], moves[t, 2:]] for (S, _), t in zip(views, moved)]
-    sizes = [c[t[:, None], moves[t, 2:]] for (_, c), t in zip(views, moved)]
-    others = [c[t] for (_, c), t in zip(views[::-1], moved)]
-    return pairs, sizes, others
-
-
-def _replay(sides, moves: np.ndarray) -> np.ndarray:
-    """The exact criterion change of each applied move (rows axis, item,
-    from, to), in order, replayed as array operations on the sweep's
-    unchanged rebuilt state: every sum adds the same numbers in the same
-    order as moving the items one at a time would."""
-    axis = moves[:, 0]
-    if not axis.size:
-        return np.zeros(0)
-    timed = np.column_stack([np.arange(axis.size), moves[:, 1:]])
-    lines = [_turn_lines(side, timed[axis == s, 1], timed[axis == s, 0],
-                         timed[axis != s])
-             for s, side in enumerate(sides)]
-    pairs, sizes, others = _touched(sides[0], moves, lines)
-    deltas = np.empty(axis.size)
-    for s, side in enumerate(sides):
-        deltas[axis == s] = line_move(pairs[s], sizes[s], others[s], lines[s], side.f)
+    deltas = np.empty(moves.shape[0])
+    for side, (S, c), (_, other), t, line in zip(sides, views, views[::-1], moved, lines):
+        pair = t[:, None], moves[t, 2:]
+        deltas[t] = line_move(S[pair], c[pair], other[t], line, side.f)
     return deltas
 
 
@@ -417,12 +403,9 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     labeling returned: its rebuilt state and exact criterion, and the number
     of moves kept.  The rebuild reuses the row (column) lines when the kept
     moves are all row (column) moves."""
-    scored = []
-    for axis, side in enumerate(sides):
-        target, delta = side.best_moves()
-        items = np.flatnonzero(target != side.labels)
-        scored.append((delta[items], np.full(items.size, axis), items, target[items]))
-    delta, axis, item, target = (np.concatenate(v) for v in zip(*scored))
+    scored = [side.best_moves() for side in sides]
+    item, target, delta = (np.concatenate(v) for v in zip(*scored))
+    axis = np.repeat([0, 1], [items.size for items, _, _ in scored])
     order = np.lexsort((item, axis, -delta))
     moves = _legal(sides, axis[order], item[order], target[order])
     running = np.cumsum(np.concatenate([[f0], _replay(sides, moves)]))

@@ -92,11 +92,10 @@ class SimPlan:
         cell = f"in cell (n = {n}, gamma = {gamma}, b = {b})"
         try:
             spec = model.design_spec(self.design, b, n)
-            m = gamma * n
-        except OverflowError as exc:  # n past the float range
-            raise ValueError(f"n_values: {exc} {cell}") from None
+            m = model.check_real(gamma, "gamma") * n
         except ValueError as exc:
-            key = "n_values" if str(exc).startswith("n ") else "b_values"
+            word = str(exc).split()[0]
+            key = f"{word}_values" if word in ("n", "gamma") else "b_values"
             raise ValueError(f"{key}: {exc} {cell}") from None
         if n < spec.L:
             raise ValueError(f"n_values: n is below the {self.design} design's "

@@ -97,10 +97,20 @@ def test_scored_deltas_match_move_delta(problem):
     stats = block_stats(X, labels)
     scale = max(1.0, abs(f0))
     for axis, side in zip(("row", "col"), sides):
-        target, delta = side.best_moves()
-        for i in np.flatnonzero(target != side.labels):
-            exact = move_delta(stats, X, labels, axis, i, target[i], f)
-            assert abs(delta[i] - exact) <= REL * scale
+        items, targets, deltas = side.best_moves()
+        assert (np.diff(items) > 0).all()
+        assert (targets != side.labels[items]).all()
+        for i, k, delta in zip(items, targets, deltas):
+            exact = move_delta(stats, X, labels, axis, i, k, f)
+            assert abs(delta - exact) <= REL * scale
+        # an item left out sits in a class at the floor or has no move
+        # that gains more than the tolerance
+        for i in np.setdiff1d(np.arange(side.labels.size), items):
+            if side.counts[side.labels[i]] <= side.min_count:
+                continue
+            for k in range(side.counts.size):
+                if k != side.labels[i]:
+                    assert move_delta(stats, X, labels, axis, i, k, f) <= REL * scale
 
 
 @given(problems())
@@ -234,9 +244,8 @@ def sequential_sweep(X, labels, f, min_frac):
     sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
     moves = []
     for axis, side in enumerate(sides):
-        target, delta = side.best_moves()
-        moves += [(delta[i], axis, i, target[i])
-                  for i in np.flatnonzero(target != side.labels)]
+        items, targets, deltas = side.best_moves()
+        moves += [(d, axis, i, k) for i, k, d in zip(items, targets, deltas)]
     moves.sort(key=lambda t: (-t[0], t[1], t[2]))
     applied, deltas, skipped = sequential_apply(
         sides, [move[1:] for move in moves], f)
@@ -743,6 +752,8 @@ def plan(**args):
 
 
 NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+#: not a finite real number: non-finite, None, text, a bool, an int past floats
+NOT_REALS = [math.nan, math.inf, None, "5", True, 10**400]
 BAD_FRACS = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan), st.just(math.inf))
 
 
@@ -773,7 +784,8 @@ ENTRY_POINTS = {
         "m": COUNTS, "n": COUNTS, "seed": SEEDS}),
     "design_spec": (lambda **a: bc.design_spec(**{"design": "poisson", "b": 5.0, "n": 9,
                                                   **a}), {
-        "n": COUNTS, "b": st.sampled_from([math.nan, math.inf, -math.inf])}),
+        "n": st.one_of(COUNTS, above(2**53), st.just(10**400)),
+        "b": st.sampled_from(NOT_REALS + [-math.inf])}),
     "BlockModelSpec": (spec, {
         "K": COUNTS, "L": COUNTS,
         "rho": NOT_POSITIVE, "sigma": NOT_POSITIVE}),
@@ -785,8 +797,8 @@ ENTRY_POINTS = {
     "SimPlan": (plan, {
         "replicates": COUNTS, "max_sweeps": COUNTS, "kmeans_iters": COUNTS,
         "seed": SEEDS, "n_values": st.lists(COUNTS, min_size=1, max_size=2),
-        "b_values": st.lists(st.sampled_from([math.nan, math.inf]), min_size=1,
-                             max_size=2)}),
+        "gamma_values": st.lists(st.sampled_from(NOT_REALS), min_size=1, max_size=2),
+        "b_values": st.lists(st.sampled_from(NOT_REALS), min_size=1, max_size=2)}),
 }
 
 
