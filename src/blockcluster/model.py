@@ -56,14 +56,17 @@ def check_int(value, name: str, low: int = 1, high: Optional[int] = None):
     raise ValueError(f"{name} must be {span}" + ("" if is_int else f", got {value!r}"))
 
 
-def check_real(value, name: str) -> float:
-    """float(value) for a finite real number (not bool); else ValueError."""
+def check_real(value, name: str, low: Optional[float] = None) -> float:
+    """float(value) for a finite real number (not bool), at least ``low`` if
+    given; else ValueError."""
     try:
-        if not isinstance(value, bool) and math.isfinite(value):
+        if not isinstance(value, bool) and math.isfinite(value) and \
+                (low is None or value >= low):
             return float(value)
     except (TypeError, OverflowError):  # not a number, or an int past floats
         pass
-    raise ValueError(f"{name} must be finite and a real number, got {value!r}")
+    span = "a real number" if low is None else f">= {low}"
+    raise ValueError(f"{name} must be finite and {span}, got {value!r}")
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -185,7 +188,7 @@ class BlockModelSpec:
             raise ValueError("p and q must each sum to 1 within 1e-12")
         if M.shape != (self.K, self.L):
             raise ValueError(f"M must have shape ({self.K}, {self.L}), got {M.shape}")
-        if not 0 < self.rho < math.inf:
+        if not 0 < check_real(self.rho, "rho"):
             raise ValueError("rho must be positive and finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
@@ -197,10 +200,10 @@ class BlockModelSpec:
                 raise DomainError(f"{f.kind} mean {M[k, l]} for block ({k}, {l}) "
                                   f"outside {f.domain}")
         if self.family in ("gaussian", "student_t"):
-            if self.sigma is None or not 0 < self.sigma < math.inf:
+            if self.sigma is None or not 0 < check_real(self.sigma, "sigma"):
                 raise ValueError(f"{self.family} family requires a finite sigma > 0")
         if self.family == "student_t":
-            if self.nu is None or not 0 < self.nu < math.inf:
+            if self.nu is None or not 0 < check_real(self.nu, "nu"):
                 raise ValueError("student_t family requires a finite nu > 0")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -252,11 +255,10 @@ def class_floors(frac: float, name: str, K: int, L: int, m: int,
                  n: int) -> tuple[int, int]:
     """``class_floor(frac, m)`` and ``class_floor(frac, n)`` for K row and L
     column classes.  Raises ValueError naming ``name``, the caller's word
-    for ``frac``, if frac is negative or not finite, or if no labeling can
-    meet the floors: K classes of the row floor hold more than m items, or
-    L of the column floor more than n."""
-    if not 0.0 <= frac < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {frac}")
+    for ``frac``, if frac is not a finite real number >= 0, or if no
+    labeling can meet the floors: K classes of the row floor hold more than
+    m items, or L of the column floor more than n."""
+    frac = check_real(frac, name, 0)
     floors = class_floor(frac, m), class_floor(frac, n)
     for k, classes, floor, size, items in (("K", K, floors[0], "m", m),
                                            ("L", L, floors[1], "n", n)):

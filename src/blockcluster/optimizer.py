@@ -34,14 +34,25 @@ class-size floors computed once, when ``fit`` or ``kl_sweep`` is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
-not a copy).  The starts draw from the seeded stream in the order a
-one-start-at-a-time loop draws them, then run in lockstep: per Lloyd step,
-one matmul of every moving start's k - 1 centre differences against the
-points labels each point by its squared distance to each centre less that
-to the first, and one centroid matmul follows, in groups whose blocks are
-no larger than the data.  That difference rounds otherwise than the full
-squared distances, so the labels are those of the one-start-at-a-time loop
-except where a point's distances to two centres agree to within rounding.
+not a copy).  A BLAS matmul against X costs about as much for one row as
+for twenty, so each pass over X serves as many starts as it can:
+
+1. seeding in lockstep: the starts' draws are taken first, in the order a
+   one-start-at-a-time loop takes them, then one matmul places centre j of
+   every start (``_kmeanspp``);
+2. a start stops on the step its labels repeat (``_starts``);
+3. the two axes share each pass: a Lloyd step is a label pass, the matmul
+   of each moving start's k - 1 centre differences against the points, and
+   a centroid pass, that of its one-hot labels; with the columns half a
+   step behind the rows, each round is one matmul per orientation of X,
+   in groups whose blocks are no larger than X (``_lockstep``);
+4. the exact ranking of the best starts runs only when their labellings
+   differ, for k = 2 by more than a swap of the labels (``_best_start``).
+
+A point's label compares its squared distance to each centre less that to
+the first, which rounds otherwise than the full squared distances, so the
+labels are those of the one-start-at-a-time loop except where a point's
+distances to two centres agree to within rounding.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ from .criterion import (
 )
 from .errors import PartitionError
 from .model import (
-    DataMatrix, LabelAssignment, check_int, class_floors, derived_rng, derived_seed,
+    DataMatrix, LabelAssignment, check_int, check_real, class_floors, derived_rng,
+    derived_seed,
 )
 
 #: k-means++ starts per k-means initialization; the best one is kept
@@ -88,7 +100,7 @@ class FitConfig:
     def __post_init__(self):
         for key in ("K", "L", "restarts", "max_sweeps", "kmeans_iters", "seed"):
             check_int(getattr(self, key), key, 0 if key == "seed" else 1)
-        if not 0.0 <= self.min_frac < 0.5:
+        if not 0.0 <= check_real(self.min_frac, "min_frac") < 0.5:
             raise ValueError("min_frac must lie in [0, 0.5)")
         RateFunction(self.rate)
 
@@ -103,39 +115,63 @@ class FitResult:
     moves_applied: int = 0
 
 
-def _kmeanspp(points: np.ndarray, pp: np.ndarray, k: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii 2007): each centre after
-    the first is a point drawn with probability proportional to its squared
-    distance to the nearest centre so far.  ``pp`` holds the squared norms
-    of the points."""
+def _seed_draws(rng: np.random.Generator, n: int, k: int):
+    """(first, u): each start's first point of n and k - 1 uniforms for its
+    other centres, drawn in the order a one-start-at-a-time loop of
+    ``KMEANS_STARTS`` k-means++ seedings draws them."""
+    first, u = zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(KMEANS_STARTS)])
+    return np.array(first), np.stack(u)
+
+
+def _kmeanspp(points: np.ndarray, pp: np.ndarray, first: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) of len(first) starts
+    at once: each centre after the first is a point drawn with probability
+    proportional to its squared distance to the nearest centre so far.
+    Start s begins at point first[s] and draws its j-th centre by
+    searchsorted of u[s, j - 1] into the normalised cumsum of those
+    probabilities, which is what ``rng.choice(n, p=p)`` does with the one
+    uniform it consumes; a start whose points all sit on its centres draws
+    with equal probabilities.  ``pp`` holds the squared norms of the points.
+    Returns the centres (starts, k, d)."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    closest = np.full(n, np.inf)
+    s, k = u.shape[0], u.shape[1] + 1
+    centers = np.empty((s, k, points.shape[1]))
+    centers[:, 0] = points[first]
+    closest = np.full((s, n), np.inf)
     for j in range(1, k):
-        c = centers[j - 1 : j]
-        dist = pp - 2.0 * (points @ c.T).ravel() + np.einsum("ij,ij->i", c, c)
+        c = centers[:, j - 1]
+        dist = c @ points.T  # one matmul places centre j of every start
+        dist *= -2.0
+        dist += pp
+        dist += np.einsum("ij,ij->i", c, c)[:, None]
         np.maximum(dist, 0.0, out=dist)
         np.minimum(closest, dist, out=closest)
-        total = closest.sum()
-        idx = rng.choice(n, p=closest / total) if total > 0 else rng.integers(n)
-        centers[j] = points[idx]
+        total = closest.sum(axis=1, keepdims=True)
+        p = np.divide(closest, total, out=np.full_like(closest, 1.0 / n), where=total > 0)
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        idx = [np.searchsorted(row, x, side="right") for row, x in zip(cdf, u[:, j - 1])]
+        centers[:, j] = points[idx]
     return centers
 
 
-def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
-    """Lloyd's algorithm from each of the (starts, k, d) ``centers`` at once.
+def _starts(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, flip: int,
+            iters: int):
+    """Lloyd's algorithm from each of the (starts, k, d) ``centers`` of one
+    axis, as a coroutine that ``_lockstep`` runs with the other axis's.
 
-    A point takes the first j that minimises e_j = (||c_j||^2 - ||c_0||^2)
-    - 2 x.(c_j - c_0), its squared distance to c_j less that to c_0, with
-    e_0 = 0.  Every step serves all starts that still move with one matmul
-    of their k - 1 difference rows against the points and one one-hot
-    matmul for the new centroids; only a start that must re-seed an empty
-    class computes its clamped squared distances ``||x||^2 - 2 x.c +
-    ||c||^2``.  A start drops out once its centroids stop changing.  Returns
-    the final labels (starts, n) with their cluster sums (starts, k, d) and
-    sizes (starts, k).
+    Each pass over the points yields (orientation, operand) and is sent
+    operand @ (X.T, X)[orientation]; the points are X, or X.T when ``flip``
+    is 1.  The label pass sends the moving starts' centre differences: a
+    point takes the first j that minimises e_j = (||c_j||^2 - ||c_0||^2) -
+    2 x.(c_j - c_0), its squared distance to c_j less that to c_0, with e_0
+    = 0.  The centroid pass sends their one-hot labels.  Only a start that
+    must re-seed an empty class computes its clamped squared distances
+    ``||x||^2 - 2 x.c + ||c||^2``.  A start drops out once its labels repeat
+    (its sums and sizes are then those of the step before) or its centroids
+    stop changing.  Returns the final labels (starts, n) with their cluster
+    sums (starts, k, d) and sizes (starts, k).
     """
     s, k, d = centers.shape
     n = points.shape[0]
@@ -143,21 +179,26 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
     sums = np.zeros((s, k, d))
     counts = np.zeros((s, k))
     active = np.arange(s)
-    for _ in range(iters):
+    for step in range(iters):
         a = active.size
         C = centers[active]
         flat = C.reshape(a * k, d)
         cc = np.einsum("ij,ij->i", flat, flat).reshape(a, k)
-        e = (C[:, 1:] - C[:, :1]).reshape(a * (k - 1), d) @ points.T
+        e = yield flip, (C[:, 1:] - C[:, :1]).reshape(a * (k - 1), d)
         e *= -2.0
         e += (cc[:, 1:] - cc[:, :1]).reshape(-1, 1)
         e = e.reshape(a, k - 1, n)
         lab = np.zeros((a, n), dtype=np.int64)
         low = np.zeros((a, n))
-        for j in range(1, k):
+        for j in range(1, k):  # strict <: the first minimum wins
             lab[e[:, j - 1] < low] = j
             np.minimum(low, e[:, j - 1], out=low)
-        del e, low
+        if step:
+            moving = ~(lab == labels[active]).all(axis=1)
+            active, lab, C, cc = active[moving], lab[moving], C[moving], cc[moving]
+            a = active.size
+            if not a:
+                break
         offsets = np.arange(a)[:, None] * k
         cnt = np.bincount((lab + offsets).ravel(), minlength=a * k).reshape(a, k)
         for t in np.flatnonzero((cnt == 0).any(axis=1)):
@@ -179,10 +220,10 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
                 g[idx] = empty[0]
                 o[idx] = -1.0
                 empty = np.flatnonzero(np.bincount(g, minlength=k) == 0)
-        onehot = np.zeros((n, a * k))
-        onehot[np.arange(n), lab + offsets] = 1.0
-        S = (onehot.T @ points).reshape(a, k, d)
-        cnt = onehot.sum(axis=0).reshape(a, k)
+        onehot = np.zeros((a * k, n))
+        onehot[lab + offsets, np.arange(n)] = 1.0
+        S = (yield 1 - flip, onehot).reshape(a, k, d)
+        cnt = onehot.sum(axis=1).reshape(a, k)
         del onehot
         new = S / cnt[:, :, None]
         labels[active], sums[active], counts[active] = lab, S, cnt
@@ -193,37 +234,63 @@ def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
     return labels, sums, counts
 
 
-def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
-                   iters: int) -> np.ndarray:
-    """Best of ``KMEANS_STARTS`` runs of Lloyd's algorithm (by within-cluster
-    sum of squares), each with k-means++ seeding and empty-cluster repair.
+def _lockstep(runs: list, points: np.ndarray) -> list:
+    """Run the ``_starts`` coroutines ``runs`` to their ends and return
+    their results.  The points are X, and each round is one matmul against
+    one orientation of X, X.T or X: the passes of every run that needs it,
+    stacked.  With a row and a column run the columns go half a step behind
+    the rows, so a round is [row differences; one-hot columns] @ X.T or
+    [one-hot rows; column differences] @ X.  Rows of a matmul do not see
+    each other, so each start's result is that of a matmul of its own rows."""
+    mats, side = (points.T, points), 0
+    wants = {run: next(run) for run in runs}
+    results = {}
+    while wants:
+        due = [(run, op) for run, (want, op) in wants.items() if want == side]
+        if due:
+            out = np.concatenate([op for _, op in due]) @ mats[side]
+            first = 0
+            for run, op in due:
+                try:
+                    wants[run] = run.send(out[first:first + len(op)])
+                except StopIteration as stop:
+                    del wants[run]
+                    results[run] = stop.value
+                first += len(op)
+        side ^= 1
+    return [results[run] for run in runs]
 
-    The starts are seeded one after another from ``rng`` and then run in
-    lockstep by ``_lloyd``, in groups of at most min(n, d) // k starts, so
-    that no per-step block outgrows the points themselves.
-    """
-    n, d = points.shape
-    pp = np.einsum("ij,ij->i", points, points)
+
+def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
+    """Lloyd's algorithm from each of the (starts, k, d) ``centers`` at once:
+    ``_starts`` run alone.  Returns the final labels (starts, n) with their
+    cluster sums (starts, k, d) and sizes (starts, k)."""
+    return _lockstep([_starts(points, pp, centers, 0, iters)], points)[0]
+
+
+def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):
+    """The labels of the start of least within-cluster sum of squares, the
+    first one on ties, from the (labels, sums, counts) of ``_starts`` runs."""
     total = float(pp.sum())
-    group = max(1, min(KMEANS_STARTS, min(n, d) // k))
-    runs, quick = [], []
-    for first in range(0, KMEANS_STARTS, group):
-        centers = np.stack([_kmeanspp(points, pp, k, rng)
-                            for _ in range(min(group, KMEANS_STARTS - first))])
-        labels, sums, counts = _lloyd(points, pp, centers, iters)
+    labels, quick = [], []
+    for run_labels, sums, counts in runs:
         between = np.einsum("skd,skd->sk", sums, sums) / np.maximum(counts, 1)
-        runs.extend(labels)
+        labels.extend(run_labels)
         quick.extend(total - math.fsum(row) for row in between.tolist())
     # sum ||x||^2 - sum_j ||S_j||^2 / n_j costs no pass over the points but
     # cancels digits, so it only shortlists the starts within its error of
     # the best; those are ranked by the per-cluster sums of squared
     # deviations, each cluster summed once, and the first start wins ties
     cutoff = min(quick) + 1e-9 * total
+    short = [g for g, value in zip(labels, quick) if value <= cutoff]
+    # equal labellings sum equal terms; for k = 2 so does a swapped one,
+    # whose two terms (0 + t1) + t0 add to (0 + t0) + t1 exactly
+    if all(np.array_equal(g, short[0]) or (k == 2 and np.array_equal(g, 1 - short[0]))
+           for g in short[1:]):
+        return short[0]
     terms: dict[bytes, float] = {}
     best_labels, best_inertia = None, np.inf
-    for g, value in zip(runs, quick):
-        if value > cutoff:
-            continue
+    for g in short:
         inertia = 0.0
         for j in range(k):
             mask = g == j
@@ -240,18 +307,45 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
     return best_labels
 
 
+def _kmeans_labels(axes: list[tuple[np.ndarray, int, np.random.Generator]],
+                   iters: int) -> list[np.ndarray]:
+    """For each (points, k, rng) of ``axes``, the best of ``KMEANS_STARTS``
+    runs of Lloyd's algorithm (by within-cluster sum of squares), each with
+    k-means++ seeding and empty-cluster repair.  The points of the second
+    axis, if any, are the transpose of the first's.
+
+    Each axis draws all its starts' seeds first, from its ``rng`` in the
+    order of a one-start-at-a-time loop.  The starts then run in groups of
+    min(n, d) // (sum of the k) starts (1 to ``KMEANS_STARTS``) per axis,
+    group g of each axis seeded on its own and run with group g of the
+    other by ``_lockstep``, so that no stacked block outgrows the points.
+    """
+    n, d = axes[0][0].shape
+    group = max(1, min(KMEANS_STARTS, min(n, d) // sum(k for _, k, _ in axes)))
+    seeded = [(points, k, np.einsum("ij,ij->i", points, points),
+               *_seed_draws(rng, points.shape[0], k)) for points, k, rng in axes]
+    groups = []
+    for lo in range(0, KMEANS_STARTS, group):
+        runs = [_starts(points, pp, _kmeanspp(points, pp, first[lo:lo + group],
+                                              u[lo:lo + group]), flip, iters)
+                for flip, (points, _, pp, first, u) in enumerate(seeded)]
+        groups.append(_lockstep(runs, axes[0][0]))
+    return [_best_start(points, pp, k, runs)
+            for (points, k, pp, _, _), runs in zip(seeded, zip(*groups))]
+
+
 def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
                 iters: int = 50) -> LabelAssignment:
     """k-means applied separately to the rows and to the columns of X: the
     best of ``KMEANS_STARTS`` k-means++ starts of at most ``iters`` Lloyd
-    steps, run in lockstep with a distance block no larger than X (see
-    ``_kmeans_labels``)."""
+    steps, the row and column starts run together with blocks no larger
+    than X (see ``_kmeans_labels``)."""
     check_int(K, "K", 1, X.m)
     check_int(L, "L", 1, X.n)
     check_int(iters, "iters")
     check_norms(X)
-    g = _kmeans_labels(X.values, K, derived_rng(seed, 0), iters)
-    h = _kmeans_labels(X.values.T, L, derived_rng(seed, 1), iters)
+    g, h = _kmeans_labels([(X.values, K, derived_rng(seed, 0)),
+                           (X.values.T, L, derived_rng(seed, 1))], iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
 
 

@@ -100,7 +100,9 @@ class SimPlan:
         if n < spec.L:
             raise ValueError(f"n_values: n is below the {self.design} design's "
                              f"L = {spec.L} column classes {cell}")
-        if not (math.isfinite(m) and round(m) >= spec.K):
+        if not math.isfinite(m):
+            raise ValueError(f"gamma_values: m = round(gamma * n) is not finite {cell}")
+        if round(m) < spec.K:
             raise ValueError(f"gamma_values: m = round(gamma * n) is not at least the "
                              f"{self.design} design's K = {spec.K} row classes {cell}")
 

@@ -462,10 +462,8 @@ def _oracle_seed(points, k, rng):
     closest = _oracle_sq_dists(points, centers[:1]).ravel()
     for j in range(1, k):
         total = closest.sum()
-        if total > 0:
-            idx = rng.choice(n, p=closest / total)
-        else:
-            idx = rng.integers(n)
+        # when every point sits on a centre, all are drawn alike
+        idx = rng.choice(n, p=closest / total if total > 0 else np.full(n, 1.0 / n))
         centers[j] = points[idx]
         np.minimum(closest, _oracle_sq_dists(points, centers[j : j + 1]).ravel(),
                    out=closest)
@@ -494,6 +492,27 @@ def oracle_init(X, K, L, seed, iters):
                           derived_rng(seed, 1), iters))
 
 
+@contextlib.contextmanager
+def spied_groups():
+    """Yields a list that gets, per ``_lockstep`` call, min(m, n) of its X
+    and the (starts, k) of each axis it runs."""
+    groups, shapes = [], []
+    starts, lockstep = optimizer._starts, optimizer._lockstep
+
+    def spy_starts(points, pp, centers, flip, iters):
+        shapes.append(centers.shape[:2])
+        return starts(points, pp, centers, flip, iters)
+
+    def spy_lockstep(runs, points):
+        groups.append((min(points.shape), shapes[-len(runs):]))
+        return lockstep(runs, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_starts", spy_starts)
+        mp.setattr(optimizer, "_lockstep", spy_lockstep)
+        yield groups
+
+
 @given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 5),
        st.integers(1, 5), st.sampled_from([1, 2, 50]),
        st.integers(0, 2**32 - 1))
@@ -504,6 +523,96 @@ def test_kmeans_matches_one_start_at_a_time(m, n, K, L, iters, seed):
     g, h = oracle_init(X, K, L, seed % 1000, iters)
     assert np.array_equal(got.row_labels, g)
     assert np.array_equal(got.col_labels, h)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 2, 50]),
+       st.integers(0, 2**32 - 1))
+def test_kmeans_one_group_matches_one_start_at_a_time(data, K, L, iters, seed):
+    """Sizes at which all ten row starts and all ten column starts run as
+    one pair of groups, sharing every matmul."""
+    low = max(20, optimizer.KMEANS_STARTS * (K + L))
+    m, n = data.draw(st.integers(low, 120)), data.draw(st.integers(low, 120))
+    X = bc.DataMatrix(np.random.default_rng(seed).standard_normal((m, n)))
+    with spied_groups() as groups:
+        got = optimizer.kmeans_init(X, K, L, seed=seed % 1000, iters=iters)
+    assert groups == [(min(m, n), [(optimizer.KMEANS_STARTS, K),
+                                   (optimizer.KMEANS_STARTS, L)])]
+    g, h = oracle_init(X, K, L, seed % 1000, iters)
+    assert np.array_equal(got.row_labels, g)
+    assert np.array_equal(got.col_labels, h)
+
+
+@given(st.sampled_from(["gaussian", "duplicates", "constant"]), st.integers(1, 40),
+       st.integers(1, 6), st.integers(1, 5), st.integers(0, 10),
+       st.integers(0, 2**32 - 1))
+def test_lockstep_seeding_matches_one_start_at_a_time(kind, n, d, k, split, seed):
+    """All starts seeded at once, in two groups split anywhere, place the
+    centres the one-start loop places from the same generator, also when
+    every point sits on a centre (a draw with equal probabilities)."""
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        points = rng.standard_normal((n, d))
+    elif kind == "duplicates":
+        points = rng.poisson(1.0, (3, d)).astype(float)[rng.integers(0, 3, n)]
+    else:
+        points = np.ones((n, d))
+    pp = np.einsum("ij,ij->i", points, points)
+    first, u = optimizer._seed_draws(np.random.default_rng(seed), n, k)
+    got = np.concatenate([optimizer._kmeanspp(points, pp, first[:split], u[:split]),
+                          optimizer._kmeanspp(points, pp, first[split:], u[split:])])
+    oracle_rng = np.random.default_rng(seed)
+    expected = [_oracle_seed(points, k, oracle_rng) for _ in range(optimizer.KMEANS_STARTS)]
+    assert np.array_equal(got, np.stack(expected))
+
+
+def full_ranking(points, labelings, k):
+    """The labeling of least summed per-cluster squared deviations, summed
+    cluster 0 first; the first one on ties."""
+    best, best_inertia = None, np.inf
+    for g in labelings:
+        inertia = 0.0
+        for j in range(k):
+            cluster = points[g == j]
+            inertia += float(((cluster - cluster.mean(axis=0)) ** 2).sum())
+        if inertia < best_inertia:
+            best, best_inertia = g, inertia
+    return best
+
+
+def finished_starts(points, labelings, k):
+    """The (labels, sums, counts) of finished starts with these labels, for
+    ``_best_start``."""
+    g = np.array(labelings)
+    onehot = (g[:, :, None] == np.arange(k)).astype(float)
+    return g, onehot.transpose(0, 2, 1) @ points, onehot.sum(axis=1)
+
+
+#: three 1-D clusters with sums of squared deviations 1, 2**-53 and 2**-53:
+#: summed in the order 1, tiny, tiny they give 1, tiny first 1 + 2**-52
+SPREAD = np.array([[-0.5], [-0.5], [0.5], [0.5], [10.0], [10.0 + 2**-26],
+                   [20.0], [20.0 + 2**-26]])
+CLUSTER = np.array([0, 0, 0, 0, 1, 1, 2, 2])
+
+
+def test_ranking_skip_returns_what_the_full_ranking_would():
+    """Equal labellings, or for k = 2 swapped ones, sum equal terms, so the
+    first start wins without the ranking pass over the points (``None``
+    here would fail it).  Permuted labellings of k = 3 sum their terms in
+    another order and must still be ranked: the first one listed is not
+    the one of least inertia."""
+    pp = np.einsum("ij,ij->i", SPREAD, SPREAD)
+    two = (CLUSTER > 0).astype(np.int64)
+    for labelings in ([two], [two, two], [1 - two, two, 1 - two]):
+        runs = [finished_starts(SPREAD, labelings, 2)]
+        got = optimizer._best_start(None, pp, 2, runs)
+        assert np.array_equal(got, full_ranking(SPREAD, labelings, 2))
+        assert np.array_equal(got, labelings[0])
+    permuted = [np.array([2, 0, 1])[CLUSTER], CLUSTER]
+    runs = [finished_starts(SPREAD, permuted, 3)]
+    got = optimizer._best_start(SPREAD, pp, 3, runs)
+    assert np.array_equal(got, full_ranking(SPREAD, permuted, 3))
+    assert np.array_equal(got, CLUSTER)
 
 
 @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
@@ -609,7 +718,7 @@ def test_kmeans_rounding_ties_ranked_as_one_start_at_a_time(points, k, seed):
     shortlist's tolerance of the best are ranked as the one-start-at-a-time
     loop ranks them, not by the cheaper inertia."""
     points = np.asarray(points, dtype=float)
-    got = optimizer._kmeans_labels(points, k, np.random.default_rng(seed), 50)
+    got, = optimizer._kmeans_labels([(points, k, np.random.default_rng(seed))], 50)
     expected = kmeans_oracle(points, k, np.random.default_rng(seed), 50)
     assert np.array_equal(got, expected)
 
@@ -617,27 +726,23 @@ def test_kmeans_rounding_ties_ranked_as_one_start_at_a_time(points, k, seed):
 @pytest.mark.parametrize("m, n, K", [(5, 4, 5), (7, 3, 7), (12, 7, 2), (40, 9, 3)])
 def test_kmeans_k_equals_m_and_start_groups(m, n, K):
     """K = m (one start per group, every class a singleton) and sizes whose
-    starts split into several groups; a group of several starts keeps its
-    distance block within the size of the points."""
+    starts split into several groups; a row and a column group of several
+    starts, run together, stack no more than min(m, n) rows per matmul, so
+    no block outgrows X."""
     X = bc.DataMatrix(np.random.default_rng(m * n).standard_normal((m, n)))
-    blocks = []
-    real = optimizer._lloyd
-
-    def spy(points, pp, centers, iters):
-        blocks.append((min(points.shape), centers.shape[0], centers.shape[1]))
-        return real(points, pp, centers, iters)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_lloyd", spy)
+    with spied_groups() as blocks:
         got = optimizer.kmeans_init(X, K, 2, seed=3)
     g, h = oracle_init(X, K, 2, 3, 50)
     assert np.array_equal(got.row_labels, g)
     assert np.array_equal(got.col_labels, h)
     if K == m:
         assert sorted(got.row_labels) == list(range(m))
-    for side, starts, k in blocks:
-        assert starts == 1 or starts * k <= side
-    assert sum(starts for _, starts, _ in blocks) == 20
+    for side, groups in blocks:
+        # the one-hot rows of both axes bound what a round stacks
+        assert len(groups) == 2
+        assert all(starts == 1 for starts, _ in groups) or \
+            sum(starts * k for starts, k in groups) <= side
+    assert sum(starts for _, groups in blocks for starts, _ in groups) == 20
 
 
 # -- class-size floors ----------------------------------------------------
@@ -769,12 +874,14 @@ ENTRY_POINTS = {
     "FitConfig": (fit_config, {
         "K": COUNTS, "L": COUNTS, "restarts": COUNTS, "max_sweeps": COUNTS,
         "kmeans_iters": COUNTS, "seed": SEEDS, "rate": st.just("bogus"),
-        "min_frac": st.one_of(BAD_FRACS, st.floats(0.5, allow_nan=False))}),
+        "min_frac": st.one_of(BAD_FRACS, st.floats(0.5, allow_nan=False),
+                              st.sampled_from(NOT_REALS))}),
     "fit": (lambda **a: bc.fit(SMALL_X, fit_config(**a)), {
         "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
         "seed": SEEDS}),
     "kl_sweep": (lambda **a: bc.kl_sweep(SMALL_X, SMALL_LABELS, GAUSS, **a), {
-        "min_frac": st.one_of(BAD_FRACS, st.floats(0.51, allow_nan=False))}),
+        "min_frac": st.one_of(BAD_FRACS, st.floats(0.51, allow_nan=False),
+                              st.sampled_from(NOT_REALS))}),
     "kmeans_init": (lambda **a: bc.kmeans_init(**{"X": SMALL_X, "K": 2, "L": 2, "seed": 0,
                                                   "iters": 2, **a}), {
         "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
@@ -788,7 +895,11 @@ ENTRY_POINTS = {
         "b": st.sampled_from(NOT_REALS + [-math.inf])}),
     "BlockModelSpec": (spec, {
         "K": COUNTS, "L": COUNTS,
-        "rho": NOT_POSITIVE, "sigma": NOT_POSITIVE}),
+        "rho": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS)),
+        "sigma": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))}),
+    "BlockModelSpec(student_t)": (lambda **a: spec(**{"family": "student_t", "nu": 4.0,
+                                                      **a}), {
+        "nu": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))}),
     "LabelAssignment": (lambda **a: bc.LabelAssignment(**{
         "row_labels": np.arange(6) % 2, "col_labels": np.arange(4) % 2, "K": 2, "L": 2,
         **a}), {

@@ -256,6 +256,24 @@ class TestPlanFile:
         assert f"plan.cfg: {key}: " in err
         assert not (tmp_path / "sim.records.csv").exists()
 
+    def test_cell_whose_m_overflows_named_as_not_finite(self, tmp_path, capsys):
+        """gamma * n past the float range used to be reported as an m below
+        the design's K row classes."""
+        from blockcluster.cli import main
+
+        over = dict(n_values=[2**53], gamma_values=[10**300])
+        with pytest.raises(ValueError, match=r"^gamma_values: m = round\(gamma \* n\) "
+                                             r"is not finite in cell"):
+            small_plan(methods=["KM"], **over)
+        path = tmp_path / "plan.cfg"
+        path.write_text(DEMO_PLAN + f"n_values = {2**53}\ngamma_values = 1e300\n")
+        assert main(["simulate", "--plan", str(path), "--output",
+                     str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert "plan.cfg: gamma_values: m = round(gamma * n) is not finite" in err
+        assert "row classes" not in err
+        assert not (tmp_path / "sim.records.csv").exists()
+
     def test_bundled_config_parses(self):
         plan = simharness.parse_plan_file("configs/poisson_desk.cfg")
         assert plan.design == "poisson"
