@@ -30,8 +30,23 @@ def _read_matrix(path, fmt):
     return matrixio.read_matrix_csv(path)
 
 
-def _from_flags(build, args, names: list[str]):
-    """``build`` given the flags ``names``; an error naming one names its flag."""
+def _add_fields(parser, cls, **extras) -> None:
+    """A ``--name`` flag for each field of the dataclass ``cls``, its
+    underscores spelled as dashes: typed by the field's annotation, with the
+    field's default, or required if it has none.  ``extras`` maps a field
+    to further ``add_argument`` keywords."""
+    for f in dataclasses.fields(cls):
+        default = ({"required": True} if f.default is dataclasses.MISSING
+                   else {"default": f.default})
+        parser.add_argument(f"--{f.name.replace('_', '-')}",
+                            type=simharness._SCALARS[f.type], **default,
+                            **extras.get(f.name, {}))
+
+
+def _from_flags(build, args, names=None):
+    """``build`` given the flags ``names``, by default the fields of the
+    dataclass ``build``; an error naming one names its flag."""
+    names = names or [f.name for f in dataclasses.fields(build)]
     try:
         return build(**{name: getattr(args, name) for name in names})
     except ValueError as exc:
@@ -43,8 +58,7 @@ def _from_flags(build, args, names: list[str]):
 
 def cmd_fit(args) -> int:
     X = _read_matrix(args.input, args.format)
-    config = _from_flags(optimizer.FitConfig, args,
-                         "K L rate restarts max_sweeps min_frac kmeans_iters seed".split())
+    config = _from_flags(optimizer.FitConfig, args)
     t0 = time.perf_counter()
     result = optimizer.fit(X, config)
     elapsed_ms = 1e3 * (time.perf_counter() - t0)
@@ -89,13 +103,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    def load(rows_path, cols_path):
-        g = matrixio.read_labels_csv(rows_path)
-        h = matrixio.read_labels_csv(cols_path)
-        return g, h
-
-    tg, th = load(args.truth_rows, args.truth_cols)
-    eg, eh = load(args.est_rows, args.est_cols)
+    tg, th, eg, eh = (matrixio.read_labels_csv(path) for path in
+                      (args.truth_rows, args.truth_cols, args.est_rows, args.est_cols))
     K = int(max(tg.max(), eg.max())) + 1
     L = int(max(th.max(), eh.max())) + 1
     truth = model.LabelAssignment(row_labels=tg, col_labels=th, K=K, L=L)
@@ -110,8 +119,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    inp = _from_flags(evaluation.TailBoundInput, args,
-                      "m n K L epsilon delta tau sigma c_lip T_n".split())
+    inp = _from_flags(evaluation.TailBoundInput, args)
     print(json.dumps({"bound": evaluation.gaussian_tail_bound(inp)}))
     return EXIT_OK
 
@@ -126,15 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--input", required=True, help="input matrix path")
     p_fit.add_argument("--output", required=True,
                        help="output prefix for .rows.csv/.cols.csv/.report.json")
-    p_fit.add_argument("--K", type=int, required=True, help="number of row classes")
-    p_fit.add_argument("--L", type=int, required=True, help="number of column classes")
-    p_fit.add_argument("--rate", required=True, choices=RATE_KINDS)
-    p_fit.add_argument("--restarts", type=int, default=1)
-    p_fit.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=100)
-    p_fit.add_argument("--min-frac", dest="min_frac", type=float, default=0.0,
-                       help="minimum class proportion (0 <= eps < 0.5)")
-    p_fit.add_argument("--kmeans-iters", dest="kmeans_iters", type=int, default=50)
-    p_fit.add_argument("--seed", type=int, default=0)
+    _add_fields(p_fit, optimizer.FitConfig, K={"help": "number of row classes"},
+                L={"help": "number of column classes"}, rate={"choices": RATE_KINDS},
+                min_frac={"help": "minimum class proportion (0 <= eps < 0.5)"})
     p_fit.add_argument("--format", choices=("csv", "binary"), default="csv")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -153,16 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_bound = sub.add_parser("bound", help="Gaussian finite-sample tail bound")
-    p_bound.add_argument("--m", type=int, required=True)
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--K", type=int, required=True)
-    p_bound.add_argument("--L", type=int, required=True)
-    p_bound.add_argument("--epsilon", type=float, required=True)
-    p_bound.add_argument("--delta", type=float, required=True)
-    p_bound.add_argument("--tau", type=float, required=True)
-    p_bound.add_argument("--sigma", type=float, required=True)
-    p_bound.add_argument("--c-lip", dest="c_lip", type=float, required=True)
-    p_bound.add_argument("--T-n", dest="T_n", type=int, required=True)
+    _add_fields(p_bound, evaluation.TailBoundInput)
     p_bound.set_defaults(func=cmd_bound)
     return parser
 
@@ -175,15 +168,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (DomainError, PartitionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"blockcluster: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"blockcluster: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"blockcluster: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_DOMAIN if isinstance(exc, (DomainError, PartitionError))
+                else EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -62,19 +62,13 @@ class RateFunction:
             return x < 0
         return np.zeros(x.shape, dtype=bool)
 
-    def check_domain(self, mu) -> None:
-        mu = np.asarray(mu, dtype=np.float64)
-        bad = self.outside(mu)
-        if np.any(bad):
-            offending = float(mu[bad][0]) if mu.ndim else float(mu)
-            raise DomainError(
-                f"mean {offending} outside {self.kind} rate domain {self.domain}"
-            )
-
     def evaluate(self, mu):
         """f(mu), elementwise; raises DomainError outside the domain."""
         mu = np.asarray(mu, dtype=np.float64)
-        self.check_domain(mu)
+        bad = self.outside(mu)
+        if bad.any():
+            raise DomainError(f"mean {float(mu[bad][0])} outside {self.kind} rate "
+                              f"domain {self.domain}")
         out = self.unchecked(mu)
         return out if out.ndim else float(out)
 
@@ -97,8 +91,7 @@ class RateFunction:
     __call__ = evaluate
 
 
-def rate_function(kind: str) -> RateFunction:
-    return RateFunction(kind)
+rate_function = RateFunction
 
 
 @dataclass(frozen=True)
@@ -237,6 +230,9 @@ def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
                axis: str, index: int, new_label: int, f: RateFunction) -> float:
     """F(after) - F(before) for a single-label move, touching only the two
     affected classes.  No domain check (see ``check_support``)."""
+    from .model import check_int  # model imports this module
+
+    check_shape(X, labels)
     if axis == "row":
         data, current, opposite = X.values, labels.row_labels, labels.col_labels
         S, counts, other = stats.S, stats.row_counts, stats.col_counts
@@ -246,11 +242,11 @@ def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
     else:
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
     name = "row" if axis == "row" else "column"
+    index = check_int(index, "index", 0, current.size - 1)
+    new_label = check_int(new_label, "new_label", 0, counts.size - 1)
     old = current[index]
     if new_label == old:
         return 0.0
-    if new_label < 0 or new_label >= counts.size:
-        raise ValueError("new_label out of range")
     if counts[old] <= 1:
         raise PartitionError(f"moving {name} {index} would empty {name} class {old}")
     pair = [old, new_label]

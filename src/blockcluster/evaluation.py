@@ -17,8 +17,8 @@ import numpy as np
 
 from .criterion import RateFunction, block_stats, check_shape
 from .model import (
-    BlockModelSpec, DataMatrix, LabelAssignment, check_int, class_floors, derived_rng,
-    draw_labels, identifiable,
+    BlockModelSpec, DataMatrix, LabelAssignment, _finite, check_int, check_real,
+    class_floors, derived_rng, draw_labels, identifiable,
 )
 
 def _max_offdiag_product(A: np.ndarray) -> float:
@@ -42,11 +42,8 @@ class ConfusionPair:
         """True if C lies in the delta-neighborhood of permuted diagonals."""
         return _max_offdiag_product(self.C) < delta
 
-    def cols_near_diagonal(self, delta: float) -> bool:
-        return _max_offdiag_product(self.D) < delta
-
     def in_neighborhood(self, delta: float) -> bool:
-        return self.rows_near_diagonal(delta) and self.cols_near_diagonal(delta)
+        return self.rows_near_diagonal(delta) and _max_offdiag_product(self.D) < delta
 
 
 def _contingency(truth: LabelAssignment, estimate: LabelAssignment):
@@ -129,11 +126,10 @@ def population_criterion(C: np.ndarray, D: np.ndarray, M0: np.ndarray,
     w_kl = [C^T 1]_k [D^T 1]_l."""
     C = np.asarray(C, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    M0 = np.asarray(M0, dtype=np.float64)
-    if np.any(C < 0) or np.any(D < 0):
-        raise ValueError("confusion matrices must be nonnegative")
-    if abs(C.sum() - 1.0) > 1e-9 or abs(D.sum() - 1.0) > 1e-9:
-        raise ValueError("confusion matrices must each sum to 1")
+    M0 = _finite(M0, "M0")
+    for name, A in (("C", C), ("D", D)):
+        if not ((A >= 0).all() and abs(A.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"confusion matrix {name} must be nonnegative and sum to 1")
     pk = C.sum(axis=0)
     ql = D.sum(axis=0)
     if pk.min() <= 0 or ql.min() <= 0:
@@ -152,9 +148,10 @@ def population_gap_check(M0: np.ndarray, f: RateFunction, p: np.ndarray,
     Returns a JSON-ready report with the violation count, the worst
     (largest) gap, and the smallest empirical constant -gap / (eta^2 delta).
     """
-    M0 = np.asarray(M0, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    M0, p, q = _finite(M0, "M0"), _finite(p, "p"), _finite(q, "q")
+    if M0.ndim != 2 or p.shape != M0.shape[:1] or q.shape != M0.shape[1:]:
+        raise ValueError(f"p and q must have the lengths K and L of the K x L matrix M0, "
+                         f"got {p.shape}, {q.shape} and {M0.shape}")
     if not identifiable(M0):
         raise ValueError("mean matrix has two identical rows or columns")
     check_int(trials, "trials")
@@ -251,6 +248,11 @@ class TailBoundInput:
     def __post_init__(self):
         for name in ("m", "n", "K", "L", "T_n"):
             check_int(getattr(self, name), name, 1, 2**53)
+        # a float that is NaN or inf fails the intervals below; any other
+        # value is checked, and kept as a float for the exact rationals
+        for name in ("epsilon", "delta", "tau", "sigma", "c_lip"):
+            if not isinstance(getattr(self, name), float):
+                object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         for name in ("tau", "sigma", "c_lip"):

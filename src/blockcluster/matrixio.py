@@ -75,10 +75,10 @@ def read_matrix_binary(path) -> DataMatrix:
                 f"{path}: header declares {m} x {n} values, but only {left} "
                 f"bytes of data follow"
             )
-        data = np.frombuffer(fh.read(8 * m * n), dtype="<f8")
-        if data.size != m * n:
+        data = np.empty((m, n), dtype="<f8")  # read in place: X is held once
+        if fh.readinto(data) != data.nbytes:
             raise ValueError(f"{path}: truncated data section")
-    return DataMatrix(data.reshape(m, n).astype(np.float64))
+    return DataMatrix(data)
 
 
 def write_labels_csv(labels: np.ndarray, path) -> None:

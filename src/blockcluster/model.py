@@ -30,7 +30,6 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
-FAMILIES = ("bernoulli", "poisson", "gaussian", "student_t")
 DESIGNS = ("poisson", "bernoulli", "gaussian", "student_t")
 
 # Reference 2x3 benchmark designs: K=2 row classes, L=3 column classes.
@@ -40,8 +39,8 @@ _BASE_MEANS = {
     "poisson": np.array([[0.92, 0.77, 1.66], [0.17, 1.41, 1.45]]),
     "bernoulli": np.array([[0.43, 0.06, 0.13], [0.10, 0.34, 0.17]]),
     "gaussian": np.array([[0.47, 0.15, -0.60], [-0.26, 0.82, 0.80]]),
-    "student_t": np.array([[0.47, 0.15, -0.60], [-0.26, 0.82, 0.80]]),
 }
+_BASE_MEANS["student_t"] = _BASE_MEANS["gaussian"]
 _DESIGN_P = np.array([0.3, 0.7])
 _DESIGN_Q = np.array([0.2, 0.3, 0.5])
 
@@ -67,6 +66,15 @@ def check_real(value, name: str, low: Optional[float] = None) -> float:
         pass
     span = "a real number" if low is None else f">= {low}"
     raise ValueError(f"{name} must be finite and {span}, got {value!r}")
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array of finite entries; else ValueError naming
+    ``name``."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must hold only finite real numbers")
+    return v
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -143,15 +151,11 @@ class LabelAssignment:
 
 def identifiable(M: np.ndarray) -> bool:
     """True if no two rows of M are equal and no two columns are equal."""
-    K, L = M.shape
-    for a in range(K):
-        for a2 in range(a + 1, K):
-            if np.array_equal(M[a], M[a2]):
-                return False
-    for b in range(L):
-        for b2 in range(b + 1, L):
-            if np.array_equal(M[:, b], M[:, b2]):
-                return False
+    for A in (M, M.T):  # the columns of M are the rows of M.T
+        for a in range(len(A)):
+            for a2 in range(a + 1, len(A)):
+                if np.array_equal(A[a], A[a2]):
+                    return False
     return True
 
 
@@ -175,22 +179,20 @@ class BlockModelSpec:
     nu: Optional[float] = None
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        q = np.asarray(self.q, dtype=np.float64)
-        M = np.asarray(self.M, dtype=np.float64)
+        p, q, M = (_finite(getattr(self, key), key) for key in "pqM")
         check_int(self.K, "K")
         check_int(self.L, "L")
         if p.shape != (self.K,) or q.shape != (self.L,):
             raise ValueError("p must have length K and q length L")
         if np.any(p < 0) or np.any(q < 0):
             raise ValueError("class probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12 or abs(q.sum() - 1.0) > 1e-12:
+        if not (abs(p.sum() - 1.0) <= 1e-12 and abs(q.sum() - 1.0) <= 1e-12):
             raise ValueError("p and q must each sum to 1 within 1e-12")
         if M.shape != (self.K, self.L):
             raise ValueError(f"M must have shape ({self.K}, {self.L}), got {M.shape}")
         if not 0 < check_real(self.rho, "rho"):
             raise ValueError("rho must be positive and finite")
-        if self.family not in FAMILIES:
+        if self.family not in DESIGNS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in RATE_KINDS:
             f = RateFunction(self.family)
@@ -209,10 +211,6 @@ class BlockModelSpec:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "M", M)
 
-    def is_identifiable(self) -> bool:
-        """True if no two rows of M are equal and no two columns are equal."""
-        return identifiable(self.M)
-
 
 def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
     """Benchmark block-model spec for one of the four reference designs.
@@ -225,23 +223,12 @@ def design_spec(design: str, b: float, n: int) -> BlockModelSpec:
         raise ValueError(f"unknown design {design!r}; expected one of {DESIGNS}")
     check_int(n, "n", 1, 2**53)
     b = check_real(b, "b")
-    base = _BASE_MEANS[design]
-    if design in ("poisson", "bernoulli"):
-        rho = b / math.sqrt(n)
-        return BlockModelSpec(
-            K=2, L=3, p=_DESIGN_P, q=_DESIGN_Q, M=rho * base, rho=rho, family=design
-        )
-    return BlockModelSpec(
-        K=2,
-        L=3,
-        p=_DESIGN_P,
-        q=_DESIGN_Q,
-        M=b * base,
-        rho=1.0,
-        family=design,
-        sigma=1.0,
-        nu=4.0 if design == "student_t" else None,
-    )
+    sparse = design in ("poisson", "bernoulli")
+    rho = b / math.sqrt(n) if sparse else 1.0
+    return BlockModelSpec(K=2, L=3, p=_DESIGN_P, q=_DESIGN_Q,
+                          M=(rho if sparse else b) * _BASE_MEANS[design], rho=rho,
+                          family=design, sigma=None if sparse else 1.0,
+                          nu=4.0 if design == "student_t" else None)
 
 
 def class_floor(frac: float, size: int) -> int:

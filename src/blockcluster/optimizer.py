@@ -128,12 +128,12 @@ def _kmeanspp(points: np.ndarray, pp: np.ndarray, first: np.ndarray,
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of len(first) starts
     at once: each centre after the first is a point drawn with probability
     proportional to its squared distance to the nearest centre so far.
-    Start s begins at point first[s] and draws its j-th centre by
-    searchsorted of u[s, j - 1] into the normalised cumsum of those
-    probabilities, which is what ``rng.choice(n, p=p)`` does with the one
-    uniform it consumes; a start whose points all sit on its centres draws
-    with equal probabilities.  ``pp`` holds the squared norms of the points.
-    Returns the centres (starts, k, d)."""
+    Start s begins at point first[s]; its j-th centre is the point whose
+    index is the count of entries of the normalised cumsum of those
+    probabilities at most u[s, j - 1], which is what ``rng.choice(n, p=p)``
+    does with the one uniform it consumes; a start whose points all sit on
+    its centres draws with equal probabilities.  ``pp`` holds the squared
+    norms of the points.  Returns the centres (starts, k, d)."""
     n = points.shape[0]
     s, k = u.shape[0], u.shape[1] + 1
     centers = np.empty((s, k, points.shape[1]))
@@ -151,8 +151,7 @@ def _kmeanspp(points: np.ndarray, pp: np.ndarray, first: np.ndarray,
         p = np.divide(closest, total, out=np.full_like(closest, 1.0 / n), where=total > 0)
         cdf = np.cumsum(p, axis=1)
         cdf /= cdf[:, -1:]
-        idx = [np.searchsorted(row, x, side="right") for row, x in zip(cdf, u[:, j - 1])]
-        centers[:, j] = points[idx]
+        centers[:, j] = points[(cdf <= u[:, j - 1, None]).sum(axis=1)]
     return centers
 
 
@@ -259,13 +258,6 @@ def _lockstep(runs: list, points: np.ndarray) -> list:
                 first += len(op)
         side ^= 1
     return [results[run] for run in runs]
-
-
-def _lloyd(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, iters: int):
-    """Lloyd's algorithm from each of the (starts, k, d) ``centers`` at once:
-    ``_starts`` run alone.  Returns the final labels (starts, n) with their
-    cluster sums (starts, k, d) and sizes (starts, k)."""
-    return _lockstep([_starts(points, pp, centers, 0, iters)], points)[0]
 
 
 def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):

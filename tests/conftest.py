@@ -1,8 +1,16 @@
-"""Hypothesis profiles for the property tests.
+"""Hypothesis profiles for the property tests, and the exhaustive oracle.
 
 ``default`` checks the same 100 derandomized examples per property on every
 run; ``ci`` (``pytest --hypothesis-profile=ci``) checks 1000.
 """
+
+import itertools
+
+import numpy as np
+import pytest
+
+import blockcluster as bc
+from blockcluster.criterion import block_stats, criterion_value
 
 try:
     from hypothesis import settings
@@ -14,3 +22,28 @@ else:
     settings.register_profile("ci", max_examples=1000, deadline=None,
                               derandomize=True)
     settings.load_profile("default")
+
+
+def _nontrivial(size, k):
+    """Every labeling of ``size`` items that uses all k classes, and its
+    one-hot (labelings, size, k)."""
+    codes = np.array(list(itertools.product(range(k), repeat=size)))
+    codes = codes[[len(set(c)) == k for c in codes.tolist()]]
+    return codes, np.eye(k)[codes]
+
+
+def _exhaustive_max(X, K, L, f):
+    """Global criterion maximum over all nontrivial labelings (tiny m, n):
+    every pair of row and column labelings scored with one einsum, and the
+    best pair's F recomputed by ``criterion_value``."""
+    g, G = _nontrivial(X.m, K)
+    h, H = _nontrivial(X.n, L)
+    S = np.einsum("aik,ij,bjl->abkl", G, X.values, H, optimize=True)
+    N = G.sum(axis=1)[:, None, :, None] * H.sum(axis=1)[None, :, None, :]
+    a, b = np.unravel_index((N * f.unchecked(S / N)).sum(axis=(2, 3)).argmax(), S.shape[:2])
+    return criterion_value(block_stats(X, bc.LabelAssignment(g[a], h[b], K, L)), f)
+
+
+@pytest.fixture
+def exhaustive_max():
+    return _exhaustive_max

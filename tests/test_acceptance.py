@@ -129,20 +129,7 @@ def test_05_baseline_dominance(poisson_trend_records, poisson_b20_records):
            f"max(PL-Pois - KM)={worst:+.4f} (<=0.02) over {len(checks)} cells")
 
 
-def exhaustive_max(X, K, L, f):
-    best = -np.inf
-    for g in itertools.product(range(K), repeat=X.m):
-        if len(set(g)) < K:
-            continue
-        for h in itertools.product(range(L), repeat=X.n):
-            if len(set(h)) < L:
-                continue
-            labels = bc.LabelAssignment(np.array(g), np.array(h), K, L)
-            best = max(best, criterion_value(block_stats(X, labels), f))
-    return best
-
-
-def test_06_exhaustive_oracle():
+def test_06_exhaustive_oracle(exhaustive_max):
     rng = np.random.default_rng(606)
     f = rate_function("gaussian")
     hits = 0

@@ -274,3 +274,28 @@ class TestMoveDelta:
         stats = block_stats(X, labels)
         with pytest.raises(PartitionError):
             move_delta(stats, X, labels, "row", 0, 1, rate_function("gaussian"))
+
+    @pytest.mark.parametrize("axis, index, new_label, name", [
+        ("row", -1, 1, "index"),      # not read as row m - 1
+        ("row", 6, 1, "index"),       # m
+        ("col", 5, 0, "index"),       # n
+        ("row", 0, 1.5, "new_label"),
+        ("col", 0, 2, "new_label"),   # L
+        ("row", 0, -1, "new_label"),
+    ])
+    def test_bad_index_or_label_raises_naming_it(self, axis, index, new_label, name):
+        rng = np.random.default_rng(81)
+        X = bc.DataMatrix(rng.standard_normal((6, 5)))
+        labels = bc.LabelAssignment(np.arange(6) % 3, np.arange(5) % 2, 3, 2)
+        stats = block_stats(X, labels)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, "):
+            move_delta(stats, X, labels, axis, index, new_label, rate_function("gaussian"))
+
+    def test_labels_of_another_shape_raise(self):
+        rng = np.random.default_rng(82)
+        X = bc.DataMatrix(rng.standard_normal((6, 5)))
+        labels = bc.LabelAssignment(np.arange(6) % 2, np.arange(5) % 2, 2, 2)
+        stats = block_stats(X, labels)
+        tall = bc.DataMatrix(np.vstack([X.values, X.values]))  # rows 0-5 as X's
+        with pytest.raises(ValueError, match="do not match"):
+            move_delta(stats, tall, labels, "row", 0, 1, rate_function("gaussian"))

@@ -45,6 +45,10 @@ class TestConfusion:
         # worst off-diagonal product: max over columns of C[0,k]*C[1,k] = 0.08
         assert not pair.rows_near_diagonal(0.05)
         assert pair.rows_near_diagonal(0.1)
+        # the column confusion alone can leave the neighbourhood
+        cols = bc.ConfusionPair(C=pair.D / 2, D=pair.C)
+        assert cols.rows_near_diagonal(0.05) and not cols.in_neighborhood(0.05)
+        assert cols.in_neighborhood(0.1)
 
     def test_dimension_mismatch(self):
         t = labels([0, 1], [0, 1], 2, 2)
@@ -299,6 +303,12 @@ class TestTailBound:
             # cap from 8*c*sigma*min(K^2,L^2)/(tau*eps^2)
             TailBoundInput(m=10, n=10, K=2, L=2, epsilon=0.9, delta=0.9,
                            tau=10000.0, sigma=1.0, c_lip=1.0, T_n=10)
+
+    def test_ints_and_numpy_reals_give_the_float_bound(self):
+        inp = self.base(tau=196, sigma=np.float32(1.0), c_lip=np.float32(7.5),
+                        delta=np.float16(0.5))
+        assert type(inp.tau) is type(inp.sigma) is type(inp.delta) is float
+        assert gaussian_tail_bound(inp) == gaussian_tail_bound(self.base())
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

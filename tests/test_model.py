@@ -5,7 +5,9 @@ import pytest
 
 import blockcluster as bc
 from blockcluster.errors import DomainError
-from blockcluster.model import check_int, class_floor, derived_rng, derived_seed
+from blockcluster.model import (
+    check_int, class_floor, derived_rng, derived_seed, identifiable,
+)
 
 
 def test_single_block_degenerate_case():
@@ -113,12 +115,13 @@ def test_student_t_generation_runs():
 
 def test_identifiability_check():
     spec = bc.design_spec("poisson", 10, 100)
-    assert spec.is_identifiable()
+    assert identifiable(spec.M)
     dup = bc.BlockModelSpec(
         K=2, L=2, p=np.array([0.5, 0.5]), q=np.array([0.5, 0.5]),
         M=np.array([[1.0, 2.0], [1.0, 2.0]]), rho=1.0, family="poisson",
     )
-    assert not dup.is_identifiable()
+    assert not identifiable(dup.M)
+    assert not identifiable(dup.M.T)  # two equal columns
 
 
 def test_label_assignment_validation():

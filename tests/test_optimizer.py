@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -15,21 +14,6 @@ def planted_matrix(means, g, h, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     mu = np.asarray(means)[np.asarray(g)][:, np.asarray(h)]
     return bc.DataMatrix(mu + noise * rng.standard_normal(mu.shape))
-
-
-def exhaustive_max(X, K, L, f):
-    """Global criterion maximum over all nontrivial labelings (tiny m, n)."""
-    m, n = X.m, X.n
-    best = -np.inf
-    for g in itertools.product(range(K), repeat=m):
-        if len(set(g)) < K:
-            continue
-        for h in itertools.product(range(L), repeat=n):
-            if len(set(h)) < L:
-                continue
-            labels = bc.LabelAssignment(np.array(g), np.array(h), K, L)
-            best = max(best, criterion_value(block_stats(X, labels), f))
-    return best
 
 
 class TestKmeansInit:
@@ -184,7 +168,7 @@ class TestFit:
         )
         assert result.criterion == pytest.approx(value, rel=1e-8)
 
-    def test_attains_exhaustive_max_often(self):
+    def test_attains_exhaustive_max_often(self, exhaustive_max):
         rng = np.random.default_rng(10)
         f = rate_function("gaussian")
         hits = 0

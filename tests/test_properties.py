@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, given  # noqa: E402
+from hypothesis import event, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -640,7 +640,8 @@ def test_lockstep_repairs_an_empty_cluster_per_start():
                         [[1.0], [2.0], [11.0]],
                         [[0.0], [1000.0], [2000.0]]])
     pp = np.einsum("ij,ij->i", points, points)
-    labels, sums, counts = optimizer._lloyd(points, pp, centers.copy(), 50)
+    labels, sums, counts = optimizer._lockstep(
+        [optimizer._starts(points, pp, centers.copy(), 0, 50)], points)[0]
     for s in range(4):
         expected = _oracle_lloyd(points, centers[s], 50)
         assert np.array_equal(labels[s], expected)
@@ -663,7 +664,8 @@ def test_lockstep_repair_on_a_transposed_view():
     centers = np.array([[[0.0, 0.0], [11.0, 1.0], [1000.0, 0.0]],
                         [[1.0, 0.0], [2.0, 1.0], [11.0, 1.0]]])
     pp = np.einsum("ij,ij->i", points, points)
-    labels, sums, counts = optimizer._lloyd(points, pp, centers.copy(), 50)
+    labels, sums, counts = optimizer._lockstep(
+        [optimizer._starts(points, pp, centers.copy(), 0, 50)], points)[0]
     for s in range(2):
         expected = _oracle_lloyd(np.ascontiguousarray(points), centers[s], 50)
         assert np.array_equal(labels[s], expected)
@@ -683,7 +685,8 @@ def test_lockstep_repair_that_empties_a_class_repairs_it_too():
     pp = np.einsum("ij,ij->i", points, points)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        labels, sums, counts = optimizer._lloyd(points, pp, centers, 50)
+        labels, sums, counts = optimizer._lockstep(
+            [optimizer._starts(points, pp, centers, 0, 50)], points)[0]
     assert labels[0].tolist() == [2, 0, 1, 1]
     assert counts[0].tolist() == [1, 2, 1]
 
@@ -862,6 +865,18 @@ NOT_REALS = [math.nan, math.inf, None, "5", True, 10**400]
 BAD_FRACS = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan), st.just(math.inf))
 
 
+def spoiled(values):
+    """Copies of the array ``values`` with one entry NaN, inf or -inf."""
+    values = np.asarray(values, dtype=np.float64)
+
+    def spoil(at_value):
+        out = values.copy()
+        out.flat[at_value[0]] = at_value[1]
+        return out
+    return st.tuples(st.integers(0, values.size - 1),
+                     st.sampled_from([math.nan, math.inf, -math.inf])).map(spoil)
+
+
 def not_int_labels(size):
     """Label vectors of floats or bools."""
     return st.one_of(st.lists(st.floats(0, 1), min_size=size, max_size=size),
@@ -896,7 +911,8 @@ ENTRY_POINTS = {
     "BlockModelSpec": (spec, {
         "K": COUNTS, "L": COUNTS,
         "rho": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS)),
-        "sigma": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))}),
+        "sigma": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS)),
+        "p": spoiled([0.5, 0.5]), "q": spoiled([0.5, 0.5]), "M": spoiled(np.eye(2))}),
     "BlockModelSpec(student_t)": (lambda **a: spec(**{"family": "student_t", "nu": 4.0,
                                                       **a}), {
         "nu": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))}),
@@ -910,6 +926,20 @@ ENTRY_POINTS = {
         "seed": SEEDS, "n_values": st.lists(COUNTS, min_size=1, max_size=2),
         "gamma_values": st.lists(st.sampled_from(NOT_REALS), min_size=1, max_size=2),
         "b_values": st.lists(st.sampled_from(NOT_REALS), min_size=1, max_size=2)}),
+    "TailBoundInput": (lambda **a: bc.TailBoundInput(**{
+        "m": 30, "n": 30, "K": 2, "L": 2, "epsilon": 0.45, "delta": 0.01, "tau": 4e4,
+        "sigma": 1.0, "c_lip": 100.0, "T_n": 196, **a}), {
+        **{name: st.one_of(COUNTS, above(2**53)) for name in ("m", "n", "K", "L", "T_n")},
+        **{name: st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))
+           for name in ("epsilon", "delta", "tau", "sigma", "c_lip")}}),
+    "population_criterion": (lambda **a: bc.population_criterion(**{
+        "C": np.eye(2) / 2, "D": np.eye(2) / 2, "M0": np.eye(2), "f": GAUSS, **a}), {
+        "C": spoiled(np.eye(2) / 2), "D": spoiled(np.eye(2) / 2), "M0": spoiled(np.eye(2))}),
+    "population_gap_check": (lambda **a: bc.population_gap_check(**{
+        "M0": np.eye(2), "f": GAUSS, "p": [0.5, 0.5], "q": [0.5, 0.5], "trials": 2,
+        "seed": 0, **a}), {
+        "M0": spoiled(np.eye(2)), "p": st.one_of(spoiled([0.5, 0.5]), st.just([1.0])),
+        "q": st.one_of(spoiled([0.5, 0.5]), st.just([0.2, 0.3, 0.5]))}),
 }
 
 
@@ -923,6 +953,16 @@ def malformed_calls(draw):
 
 
 @given(malformed_calls())
+@example(("TailBoundInput", "epsilon", "0.3"))
+@example(("TailBoundInput", "delta", None))
+@example(("TailBoundInput", "tau", "1"))
+@example(("TailBoundInput", "tau", 10**400))
+@example(("TailBoundInput", "sigma", None))
+@example(("TailBoundInput", "c_lip", True))
+@example(("population_criterion", "C", np.array([[math.nan, 0.0], [0.0, 0.5]])))
+@example(("population_gap_check", "p", [math.nan, 0.5]))
+@example(("population_gap_check", "M0", np.array([[math.nan, 0.0], [0.0, 1.0]])))
+@example(("population_gap_check", "q", [0.2, 0.3, 0.5]))
 def test_entry_points_reject_malformed_arguments(call):
     """Each raises ValueError (DomainError and PartitionError are ones)
     whose message names the argument: no TypeError or ZeroDivisionError
