@@ -32,7 +32,7 @@ from .model import (
     design_spec,
     generate,
 )
-from .optimizer import FitConfig, FitResult, fit, kl_sweep, kmeans_init
+from .optimizer import FitConfig, FitResult, fit, kmeans_init
 from .simharness import SimPlan, SimRecord, aggregate, parse_plan_file, run_plan
 
 __version__ = "0.1.0"
@@ -43,7 +43,7 @@ __all__ = [
     "PartitionError", "RateFunction", "SimPlan", "SimRecord",
     "TailBoundInput", "aggregate", "block_stats", "confusion",
     "criterion_value", "design_spec", "fit", "gaussian_tail_bound",
-    "generate", "kl_sweep", "kmeans_init", "misclassification",
+    "generate", "kmeans_init", "misclassification",
     "move_delta", "parse_plan_file", "population_criterion",
     "population_gap_check", "rate_function", "residual_supnorm", "run_plan",
 ]

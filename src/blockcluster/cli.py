@@ -1,9 +1,9 @@
 """Command-line interface: simulate, fit, evaluate, bound.
 
 Exit codes: 0 success, 2 bad flags or validation, 3 I/O failure, 4 domain
-error (e.g. a rate function applied to out-of-range data).  Data goes to
-stdout or the requested output files; diagnostics go to stderr.  Label
-files are 0-based.
+error (e.g. a rate function applied to out-of-range data, or a simulation
+whose every record failed).  Data goes to stdout or the requested output
+files; diagnostics go to stderr.  Label files are 0-based.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DOMAIN = 4
-
-
-def _read_matrix(path, fmt):
-    if fmt == "binary":
-        return matrixio.read_matrix_binary(path)
-    return matrixio.read_matrix_csv(path)
 
 
 def _add_fields(parser, cls, **extras) -> None:
@@ -57,7 +51,7 @@ def _from_flags(build, args, names=None):
 
 
 def cmd_fit(args) -> int:
-    X = _read_matrix(args.input, args.format)
+    X = getattr(matrixio, f"read_matrix_{args.format}")(args.input)
     config = _from_flags(optimizer.FitConfig, args)
     t0 = time.perf_counter()
     result = optimizer.fit(X, config)
@@ -65,17 +59,10 @@ def cmd_fit(args) -> int:
     prefix = args.output
     matrixio.write_labels_csv(result.labels.row_labels, f"{prefix}.rows.csv")
     matrixio.write_labels_csv(result.labels.col_labels, f"{prefix}.cols.csv")
-    report = {
-        "criterion": result.criterion,
-        "sweeps": len(result.sweep_trajectory),
-        "sweep_trajectory": result.sweep_trajectory,
-        "restart_index": result.restart_index,
-        "restarts": config.restarts,
-        "converged": result.converged,
-        "moves_applied": result.moves_applied,
-        "wall_time_ms": elapsed_ms,
-        "seed": config.seed,
-    }
+    report = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result) if f.name != "labels"}
+    report.update(sweeps=len(result.sweep_trajectory), restarts=config.restarts,
+                  wall_time_ms=elapsed_ms, seed=config.seed)
     with open(f"{prefix}.report.json", "w") as fh:
         json.dump(report, fh, indent=2)
     print(json.dumps(report))
@@ -91,14 +78,18 @@ def cmd_simulate(args) -> int:
     written = list(simharness.write_records(simharness.run_plan(plan), records_path))
     summary = simharness.aggregate(written)
     simharness.write_summary(summary, f"{prefix}.summary.csv")
-    failures = sum(1 for rec in written if rec.error)
+    failures = [rec.error for rec in written if rec.error]
     print(
         json.dumps(
-            {"records": len(written), "failures": failures,
+            {"records": len(written), "failures": len(failures),
              "records_path": records_path,
              "summary_path": f"{prefix}.summary.csv"}
         )
     )
+    if failures and len(failures) == len(written):
+        print(f"blockcluster: every record failed; the first: {failures[0]}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # model imports this module for the rate domains
 
 RATE_KINDS = ("bernoulli", "poisson", "gaussian")
 
-#: absolute tolerance below which two move deltas count as tied
+#: two move deltas within this fraction of the summed |cell terms| tie
 TIE_TOL = 1e-12
 
 
@@ -87,8 +87,6 @@ class RateFunction:
             mi = mu[inner]
             out[inner] = mi * np.log(mi) + (1.0 - mi) * np.log1p(-mi)
         return out
-
-    __call__ = evaluate
 
 
 rate_function = RateFunction

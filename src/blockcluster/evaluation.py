@@ -22,13 +22,12 @@ from .model import (
 )
 
 def _max_offdiag_product(A: np.ndarray) -> float:
-    """max over columns k and rows a != a' of A[a,k] * A[a',k]."""
-    worst = 0.0
-    r = A.shape[0]
-    for a in range(r):
-        for a2 in range(a + 1, r):
-            worst = max(worst, float(np.max(A[a] * A[a2])))
-    return worst
+    """max over columns k and rows a != a' of A[a,k] * A[a',k]: for the
+    nonnegative A in use, the product of a column's two largest entries."""
+    if len(A) < 2:
+        return 0.0
+    top = np.sort(A, axis=0)[-2:]
+    return float((top[0] * top[1]).max())
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,7 @@ def population_criterion(C: np.ndarray, D: np.ndarray, M0: np.ndarray,
                          f: RateFunction) -> float:
     """G(C, D) = sum_kl w_kl * f([C^T M0 D]_kl / w_kl) with
     w_kl = [C^T 1]_k [D^T 1]_l."""
-    C = np.asarray(C, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    M0 = _finite(M0, "M0")
+    C, D, M0 = _finite(C, "C"), _finite(D, "D"), _finite(M0, "M0")
     for name, A in (("C", C), ("D", D)):
         if not ((A >= 0).all() and abs(A.sum() - 1.0) <= 1e-9):
             raise ValueError(f"confusion matrix {name} must be nonnegative and sum to 1")

@@ -71,10 +71,13 @@ def check_real(value, name: str, low: Optional[float] = None) -> float:
 def _finite(values, name: str) -> np.ndarray:
     """``values`` as a float array of finite entries; else ValueError naming
     ``name``."""
-    v = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must hold only finite real numbers")
-    return v
+    try:
+        v = np.asarray(values, dtype=np.float64)
+        if np.isfinite(v).all():
+            return v
+    except (TypeError, ValueError, OverflowError):  # text, ragged, an int past floats
+        pass
+    raise ValueError(f"{name} must hold only finite real numbers")
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -151,12 +154,8 @@ class LabelAssignment:
 
 def identifiable(M: np.ndarray) -> bool:
     """True if no two rows of M are equal and no two columns are equal."""
-    for A in (M, M.T):  # the columns of M are the rows of M.T
-        for a in range(len(A)):
-            for a2 in range(a + 1, len(A)):
-                if np.array_equal(A[a], A[a2]):
-                    return False
-    return True
+    # the columns of M are the rows of M.T; unique counts -0.0 as 0.0
+    return all(len(np.unique(A, axis=0)) == len(A) for A in (M, M.T))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ lines depend on the column labels alone and the column lines on the row
 labels alone, so the rebuild after a sweep that kept only row (column)
 moves takes the row (column) lines over unchanged: the arrays a rebuild
 from scratch computes.  The data are checked (rate domain, norms) and the
-class-size floors computed once, when ``fit`` or ``kl_sweep`` is entered.
+class-size floors computed once, when ``fit`` is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
@@ -82,7 +82,7 @@ from .model import (
 
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
-#: a restart stops once a sweep gains at most this fraction of |F| (or 1)
+#: a restart stops once a sweep gains at most this fraction of |F|
 CONVERGENCE_TOL = 1e-9
 
 
@@ -107,6 +107,9 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """The best restart's fit; ``sweep_trajectory`` holds the exact F of
+    each sweep's labels, so its last entry is ``criterion``."""
+
     labels: LabelAssignment
     criterion: float
     sweep_trajectory: list[float] = field(default_factory=list)
@@ -365,7 +368,8 @@ class _Side:
     def best_moves(self):
         """(items, targets, deltas) of the items whose best move under the
         frozen state leaves their class, items ascending; staying put wins
-        ties within TIE_TOL, then the smallest class index."""
+        ties within TIE_TOL times the exact sum of |cell terms|, the same on
+        both axes, then the smallest class index."""
         movers = np.flatnonzero(self.counts[self.labels] > self.min_count)
         a, lines = self.labels[movers], self.lines[movers]
         # each line summed as line_move sums it, whatever the layout of
@@ -379,7 +383,8 @@ class _Side:
         idx = np.arange(movers.size)
         d[idx, a] = 0.0
         best = d.max(axis=1)
-        near = d >= (best - TIE_TOL)[:, None]
+        tol = TIE_TOL * math.fsum(np.abs(self.cells).ravel().tolist())
+        near = d >= (best - tol)[:, None]
         go = ~near[idx, a]
         return movers[go], near[go].argmax(axis=1), best[go]
 
@@ -399,7 +404,7 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
         raise PartitionError(
             "input labeling violates the minimum class-size constraint"
         )
-    g, h = labels.row_labels.copy(), labels.col_labels.copy()
+    g, h = labels.row_labels, labels.col_labels
     if C is None:
         C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
     S, cells = stats.S, cell_terms(stats.S, rcnt, ccnt, f)
@@ -513,17 +518,6 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     return new_labels, new_sides, f1, kept
 
 
-def kl_sweep(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
-             min_frac: float = 0.0):
-    """One greedy sweep over all rows and columns; returns (labels, gain)."""
-    check_support(X, f)
-    check_norms(X)
-    floors = class_floors(min_frac, "min_frac", labels.K, labels.L, X.m, X.n)
-    sides, f0 = _sides(X, labels, f, floors)
-    new_labels, _, f1, _ = _sweep(X, labels, sides, f0)
-    return new_labels, f1 - f0
-
-
 def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
              min_rows: int, min_cols: int) -> LabelAssignment:
     """Randomly relabel a fraction of items, keeping class sizes legal."""
@@ -570,14 +564,12 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             sides, f0 = _sides(X, labels, f, (min_rows, min_cols))
         except PartitionError as exc:
             raise PartitionError(f"restart {r}: {exc}") from exc
-        value, trajectory, moves, converged = f0, [], 0, False
+        trajectory, moves, converged = [], 0, False
         for _ in range(config.max_sweeps):
             labels, sides, final, kept = _sweep(X, labels, sides, f0)
-            gain = final - f0
-            value += gain
             moves += kept
-            trajectory.append(value)
-            if gain <= CONVERGENCE_TOL * max(1.0, abs(value)):
+            trajectory.append(final)
+            if final - f0 <= CONVERGENCE_TOL * abs(final):
                 converged = True
                 break
             f0 = final

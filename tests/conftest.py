@@ -1,4 +1,5 @@
-"""Hypothesis profiles for the property tests, and the exhaustive oracle.
+"""Hypothesis profiles for the property tests, the exhaustive oracle, and
+one sweep run through ``fit``.
 
 ``default`` checks the same 100 derandomized examples per property on every
 run; ``ci`` (``pytest --hypothesis-profile=ci``) checks 1000.
@@ -44,6 +45,20 @@ def _exhaustive_max(X, K, L, f):
     return criterion_value(block_stats(X, bc.LabelAssignment(g[a], h[b], K, L)), f)
 
 
-@pytest.fixture
+def _one_sweep(X, labels, f, min_frac=0.0):
+    """One sweep from ``labels``, run by ``fit`` with ``max_sweeps`` 1:
+    (labels after it, its gain over F(labels))."""
+    config = bc.FitConfig(labels.K, labels.L, f.kind, max_sweeps=1, min_frac=min_frac)
+    result = bc.fit(X, config, init=labels)
+    return result.labels, result.criterion - criterion_value(block_stats(X, labels), f)
+
+
+# session-scoped, so that hypothesis's @given tests may take them
+@pytest.fixture(scope="session")
 def exhaustive_max():
     return _exhaustive_max
+
+
+@pytest.fixture(scope="session")
+def one_sweep():
+    return _one_sweep

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blockcluster import DataMatrix, matrixio
+from blockcluster import DataMatrix, FitConfig, fit, matrixio
 from blockcluster.cli import main
 
 
@@ -47,6 +47,31 @@ class TestFit:
         assert report["converged"] is True
         stdout = capout().out
         assert json.loads(stdout)["criterion"] == pytest.approx(report["criterion"])
+
+    def test_report_states_the_fit(self, tmp_path, capout):
+        """report.json holds every FitResult field but the labels, as the
+        library's fit gives them, and the run's sweeps, restarts, time and
+        seed."""
+        X = DataMatrix(np.random.default_rng(4).poisson(3.0, (30, 20)).astype(float))
+        path = tmp_path / "X.csv"
+        matrixio.write_matrix_csv(X, path)
+        prefix = tmp_path / "out"
+        assert main(["fit", "--input", str(path), "--output", str(prefix), "--K", "2",
+                     "--L", "3", "--rate", "poisson", "--restarts", "3", "--seed", "5"]) == 0
+        report = json.load(open(f"{prefix}.report.json"))
+        assert json.loads(capout().out) == report
+        assert sorted(report) == sorted([
+            "criterion", "sweeps", "sweep_trajectory", "restart_index", "restarts",
+            "converged", "moves_applied", "wall_time_ms", "seed"])
+        result = fit(X, FitConfig(K=2, L=3, rate="poisson", restarts=3, seed=5))
+        assert report.pop("wall_time_ms") > 0
+        assert report == {
+            "criterion": result.criterion, "sweeps": len(result.sweep_trajectory),
+            "sweep_trajectory": result.sweep_trajectory,
+            "restart_index": result.restart_index, "restarts": 3,
+            "converged": result.converged, "moves_applied": result.moves_applied,
+            "seed": 5}
+        assert report["sweep_trajectory"][-1] == report["criterion"]
 
     def test_binary_format(self, tmp_path, capout):
         X = DataMatrix(np.arange(16, dtype=float).reshape(4, 4))
@@ -251,6 +276,24 @@ class TestSimulate:
         assert f"blockcluster: {expected}" in err
         assert "non-negative" not in err and "Traceback" not in err
         assert not (tmp_path / "sim.records.csv").exists()
+
+    def test_plan_whose_every_record_fails_is_domain_error(self, tmp_path, capsys):
+        """Both files are written and the counts printed, then the first
+        record's error goes to stderr and the exit is 4; it used to be 0."""
+        path = tmp_path / "plan.cfg"
+        path.write_text(
+            "design = gaussian\nn_values = 40\ngamma_values = 1\n"
+            "b_values = 1e308\nreplicates = 2\nmethods = PL-Gaus, KM\nseed = 1\n"
+        )
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--plan", str(path), "--output", str(prefix)]) == 4
+        out, err = capsys.readouterr()
+        assert json.loads(out)["records"] == json.loads(out)["failures"] == 4
+        with open(f"{prefix}.records.csv") as fh:
+            first = next(csv.DictReader(fh))["error"]
+        assert first.startswith("DomainError: the squared norm of row 0")
+        assert err == f"blockcluster: every record failed; the first: {first}\n"
+        assert (tmp_path / "sim.summary.csv").exists()
 
     def test_unknown_design_is_usage_error(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path, design="weibull")

@@ -7,7 +7,7 @@ import blockcluster as bc
 from blockcluster import optimizer
 from blockcluster.criterion import block_stats, criterion_value, rate_function
 from blockcluster.errors import DomainError, PartitionError
-from blockcluster.optimizer import FitConfig, fit, kl_sweep, kmeans_init
+from blockcluster.optimizer import FitConfig, fit, kmeans_init
 
 
 def planted_matrix(means, g, h, noise=0.0, seed=0):
@@ -60,33 +60,20 @@ def test_fit_config_is_frozen():
 
 
 class TestKlSweep:
-    @pytest.mark.parametrize("min_frac, message", [
-        (float("nan"), "min_frac must be finite and >= 0, got nan"),
-        (-1.0, "min_frac must be finite and >= 0, got -1.0"),
-        (0.6, "K = 2 classes of at least 12 items (min_frac 0.6) exceed m = 20"),
-    ], ids=["nan", "negative", "no-labeling-meets"])
-    def test_min_frac_checked_at_entry(self, min_frac, message):
-        """nan used to fail inside Fraction, -1 to run as 0 and 0.6 to
-        raise PartitionError naming no argument."""
-        g, h = np.arange(20) % 2, np.arange(6) % 2
-        X = planted_matrix(np.eye(2), g, h)
-        with pytest.raises(ValueError) as info:
-            kl_sweep(X, bc.LabelAssignment(g, h, 2, 2), rate_function("gaussian"),
-                     min_frac)
-        assert type(info.value) is ValueError and str(info.value) == message
+    """One Kernighan-Lin sweep, run by ``fit`` (the ``one_sweep`` fixture)."""
 
-    def test_fixed_point_at_optimum(self):
+    def test_fixed_point_at_optimum(self, one_sweep):
         means = np.array([[0.0, 10.0], [10.0, 0.0]])
         g, h = [0, 0, 1, 1], [0, 0, 1, 1]
         X = planted_matrix(means, g, h)
         labels = bc.LabelAssignment(g, h, 2, 2)
         f = rate_function("gaussian")
-        new, gain = kl_sweep(X, labels, f)
+        new, gain = one_sweep(X, labels, f)
         assert gain == 0.0
         assert np.array_equal(new.row_labels, labels.row_labels)
         assert np.array_equal(new.col_labels, labels.col_labels)
 
-    def test_repairs_single_mislabeled_row(self):
+    def test_repairs_single_mislabeled_row(self, one_sweep):
         means = np.array([[0.0, 10.0], [10.0, 0.0]])
         g, h = [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]
         X = planted_matrix(means, g, h)
@@ -95,11 +82,11 @@ class TestKlSweep:
         f = rate_function("gaussian")
         stats = block_stats(X, labels)
         expected = bc.move_delta(stats, X, labels, "row", 0, 0, f)
-        new, gain = kl_sweep(X, labels, f)
+        new, gain = one_sweep(X, labels, f)
         assert np.array_equal(new.row_labels, g)
         assert gain == pytest.approx(expected, rel=1e-9)
 
-    def test_never_decreases(self):
+    def test_never_decreases(self, one_sweep):
         rng = np.random.default_rng(5)
         f = rate_function("gaussian")
         for trial in range(20):
@@ -110,24 +97,24 @@ class TestKlSweep:
                 continue
             labels = bc.LabelAssignment(g, h, 2, 2)
             before = criterion_value(block_stats(X, labels), f)
-            new, gain = kl_sweep(X, labels, f)
+            new, gain = one_sweep(X, labels, f)
             after = criterion_value(block_stats(X, new), f)
             assert gain >= 0.0
             assert after >= before
 
-    def test_trivial_input_rejected(self):
+    def test_trivial_input_rejected(self, one_sweep):
         X = bc.DataMatrix(np.ones((4, 4)))
         labels = bc.LabelAssignment([0, 0, 0, 0], [0, 0, 0, 1], 2, 2)
         with pytest.raises(PartitionError):
-            kl_sweep(X, labels, rate_function("gaussian"))
+            one_sweep(X, labels, rate_function("gaussian"))
 
-    def test_respects_min_frac(self):
+    def test_respects_min_frac(self, one_sweep):
         rng = np.random.default_rng(6)
         X = bc.DataMatrix(rng.standard_normal((10, 10)))
         labels = bc.LabelAssignment(
             np.array([0] * 5 + [1] * 5), np.array([0] * 5 + [1] * 5), 2, 2
         )
-        new, _ = kl_sweep(X, labels, rate_function("gaussian"), min_frac=0.3)
+        new, _ = one_sweep(X, labels, rate_function("gaussian"), min_frac=0.3)
         assert new.row_counts().min() >= 3
         assert new.col_counts().min() >= 3
 
@@ -253,11 +240,11 @@ class TestFit:
         assert np.isfinite(result.criterion)
 
     @pytest.mark.parametrize("rate", ["gaussian", "poisson"])
-    def test_criterion_and_trajectory_match_a_replay(self, rate):
-        """The criterion and trajectory equal, with ==, those of replaying the
-        restart's sweeps from F(init) with kl_sweep gains.  On the Gaussian
-        case the summed gains end an ulp away from the final criterion, so
-        the two are told apart."""
+    def test_criterion_and_trajectory_match_a_replay(self, rate, one_sweep):
+        """Each trajectory entry equals, with ==, F of the labels that
+        replaying the restart's sweeps one at a time reaches, and the last
+        is the criterion.  The Gaussian case is one where a running sum of
+        the gains ends an ulp away from the criterion."""
         rng = np.random.default_rng(15 if rate == "gaussian" else 14)
         if rate == "gaussian":
             g = rng.permutation(np.arange(30) % 3)
@@ -270,16 +257,33 @@ class TestFit:
                                   rng.permutation(np.arange(24) % 2), 3, 2)
         result = fit(X, FitConfig(K=3, L=2, rate=rate), init=init)
         f = rate_function(rate)
-        labels, value, trajectory = init, criterion_value(block_stats(X, init), f), []
+        labels, trajectory = init, []
         for _ in result.sweep_trajectory:
-            labels, gain = kl_sweep(X, labels, f)
-            value += gain
-            trajectory.append(value)
+            labels, _ = one_sweep(X, labels, f)
+            trajectory.append(criterion_value(block_stats(X, labels), f))
         assert trajectory == result.sweep_trajectory
         assert np.array_equal(labels.row_labels, result.labels.row_labels)
-        assert result.criterion == criterion_value(block_stats(X, labels), f)
-        if rate == "gaussian":
-            assert result.sweep_trajectory[-1] != result.criterion
+        assert np.array_equal(labels.col_labels, result.labels.col_labels)
+        assert result.criterion == trajectory[-1]
+        assert len(trajectory) > 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_small_units_give_the_labels_of_the_data_in_large_ones(self, seed):
+        """The Gaussian 2 x 3 design (b = 1, 200 x 200) scaled by 1e-7 and
+        fitted from random labels gives the unscaled fit's labels: the tie
+        and convergence tolerances are relative to the data.  With absolute
+        ones every such fit stops after one sweep."""
+        X, _ = bc.generate(bc.design_spec("gaussian", b=1.0, n=200), 200, 200, seed)
+        rng = np.random.default_rng([seed, 1])
+        init = bc.LabelAssignment(rng.permutation(np.arange(200) % 2),
+                                  rng.permutation(np.arange(200) % 3), 2, 3)
+        config = FitConfig(K=2, L=3, rate="gaussian")
+        a = fit(X, config, init=init)
+        b = fit(bc.DataMatrix(1e-7 * X.values), config, init=init)
+        assert np.array_equal(a.labels.row_labels, b.labels.row_labels)
+        assert np.array_equal(a.labels.col_labels, b.labels.col_labels)
+        assert b.criterion == pytest.approx(1e-14 * a.criterion, rel=1e-9)
+        assert len(b.sweep_trajectory) > 1
 
     def test_one_block_stats_per_rebuild_and_one_rebuild_per_kept_sweep(
             self, monkeypatch):

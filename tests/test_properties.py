@@ -4,7 +4,8 @@ points and the CLI on malformed inputs.
 
 Sizes stay small so the whole module runs in a few seconds.  The number of
 examples comes from the hypothesis profile (``tests/conftest.py``); both
-profiles are derandomized, so every run checks the same cases.
+profiles are derandomized, so every run checks the same cases.  CI runs
+the properties marked ``ci_profile`` again under the ``ci`` profile.
 """
 
 import contextlib
@@ -79,9 +80,9 @@ def floors(X, min_frac):
 
 
 @given(problems())
-def test_sweep_never_lowers_criterion(problem):
+def test_sweep_never_lowers_criterion(one_sweep, problem):
     X, labels, f, min_frac = problem
-    new, gain = optimizer.kl_sweep(X, labels, f, min_frac)
+    new, gain = one_sweep(X, labels, f, min_frac)
     assert gain >= 0.0
     assert F(X, new, f) >= F(X, labels, f)
     floor = class_floor
@@ -89,6 +90,7 @@ def test_sweep_never_lowers_criterion(problem):
     assert new.col_counts().min() >= floor(min_frac, X.n)
 
 
+@pytest.mark.ci_profile
 @given(problems())
 def test_scored_deltas_match_move_delta(problem):
     X, labels, f, min_frac = problem
@@ -113,6 +115,7 @@ def test_scored_deltas_match_move_delta(problem):
                     assert move_delta(stats, X, labels, axis, i, k, f) <= REL * scale
 
 
+@pytest.mark.ci_profile
 @given(problems())
 def test_running_criterion_is_exact(problem):
     """Every move the sweep applies is replayed with its delta; after each
@@ -160,10 +163,10 @@ def test_running_criterion_is_exact(problem):
 
 
 @st.composite
-def fit_problems(draw):
+def fit_problems(draw, kinds=("gaussian", "poisson", "bernoulli")):
     """(X, init, f, min_frac) for a whole fit: up to 39 x 39 data inside
     the rate's domain, K, L <= 4 and a start that meets the floor."""
-    kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
+    kind = draw(st.sampled_from(kinds))
     m, n = draw(st.integers(4, 39)), draw(st.integers(4, 39))
     K, L = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     min_frac = draw(st.sampled_from([0.0, 0.1]))
@@ -173,13 +176,16 @@ def fit_problems(draw):
     return bc.DataMatrix(values), init, rate_function(kind), min_frac
 
 
+@pytest.mark.ci_profile
 @given(fit_problems())
 def test_converged_fit_is_locally_optimal(problem):
     """At a converged fit no legal single move, checked by brute force
-    through ``move_delta``, gains more than the convergence tolerance."""
+    through ``move_delta``, gains more than the convergence tolerance.  On
+    every fit the trajectory ends at the criterion."""
     X, init, f, min_frac = problem
     config = optimizer.FitConfig(K=init.K, L=init.L, rate=f.kind, min_frac=min_frac)
     result = optimizer.fit(X, config, init=init)
+    assert result.sweep_trajectory[-1] == result.criterion
     event("converged" if result.converged else "stopped at max_sweeps")
     if not result.converged:
         return
@@ -195,6 +201,24 @@ def test_converged_fit_is_locally_optimal(problem):
             for k in range(counts.size):
                 if k != own[i]:
                     assert move_delta(stats, X, labels, axis, i, k, f) <= tol
+
+
+@pytest.mark.ci_profile
+@given(fit_problems(kinds=["gaussian"]), st.integers(-60, 60))
+def test_gaussian_fits_do_not_depend_on_a_power_of_two_scale(problem, k):
+    """Under the Gaussian rate F(c X) = c^2 F(X), and scaling by 2^k rounds
+    nothing, so the fit from the same start and k-means give the same
+    labels on 2^k X, with F exactly 4^k times as large."""
+    X, init, _, min_frac = problem
+    Y = bc.DataMatrix(np.ldexp(X.values, k))
+    config = optimizer.FitConfig(K=init.K, L=init.L, rate="gaussian", min_frac=min_frac)
+    a, b = optimizer.fit(X, config, init=init), optimizer.fit(Y, config, init=init)
+    assert np.array_equal(a.labels.row_labels, b.labels.row_labels)
+    assert np.array_equal(a.labels.col_labels, b.labels.col_labels)
+    assert b.criterion == math.ldexp(a.criterion, 2 * k)
+    ka, kb = (optimizer.kmeans_init(Z, init.K, init.L, seed=k % 7) for Z in (X, Y))
+    assert np.array_equal(ka.row_labels, kb.row_labels)
+    assert np.array_equal(ka.col_labels, kb.col_labels)
 
 
 # -- the sweep's replay against the one-move-at-a-time apply loop ---------
@@ -310,6 +334,7 @@ def check_replay_matches_sequential(X, labels, f, min_frac):
     return applied, skipped
 
 
+@pytest.mark.ci_profile
 @given(replay_problems())
 def test_replay_matches_sequential_apply(problem):
     """Per-move deltas, running criterion, kept prefix and labels of the
@@ -320,6 +345,7 @@ def test_replay_matches_sequential_apply(problem):
     event("a move skipped as illegal" if skipped else "no move skipped")
 
 
+@pytest.mark.ci_profile
 @given(replay_problems())
 def test_kept_sweep_state_equals_a_fresh_rebuild(problem):
     """The state a kept sweep returns, which keeps the row (column) lines
@@ -407,6 +433,7 @@ matrices = hnp.arrays(
 )
 
 
+@pytest.mark.ci_profile
 @given(matrices, st.booleans())
 def test_csv_roundtrip(tmp_path_factory, values, header):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -414,6 +441,7 @@ def test_csv_roundtrip(tmp_path_factory, values, header):
     assert np.array_equal(matrixio.read_matrix_csv(path).values, values)
 
 
+@pytest.mark.ci_profile
 @given(matrices)
 def test_binary_roundtrip(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("bmat") / "m.bin"
@@ -513,6 +541,7 @@ def spied_groups():
         yield groups
 
 
+@pytest.mark.ci_profile
 @given(st.integers(2, 30), st.integers(2, 30), st.integers(1, 5),
        st.integers(1, 5), st.sampled_from([1, 2, 50]),
        st.integers(0, 2**32 - 1))
@@ -525,6 +554,7 @@ def test_kmeans_matches_one_start_at_a_time(m, n, K, L, iters, seed):
     assert np.array_equal(got.col_labels, h)
 
 
+@pytest.mark.ci_profile
 @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 2, 50]),
        st.integers(0, 2**32 - 1))
 def test_kmeans_one_group_matches_one_start_at_a_time(data, K, L, iters, seed):
@@ -542,6 +572,7 @@ def test_kmeans_one_group_matches_one_start_at_a_time(data, K, L, iters, seed):
     assert np.array_equal(got.col_labels, h)
 
 
+@pytest.mark.ci_profile
 @given(st.sampled_from(["gaussian", "duplicates", "constant"]), st.integers(1, 40),
        st.integers(1, 6), st.integers(1, 5), st.integers(0, 10),
        st.integers(0, 2**32 - 1))
@@ -615,6 +646,7 @@ def test_ranking_skip_returns_what_the_full_ranking_would():
     assert np.array_equal(got, CLUSTER)
 
 
+@pytest.mark.ci_profile
 @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_kmeans_on_integer_data_with_duplicates(K, d, seed):
     """Duplicate rows make exact distance ties, which may break either way
@@ -750,6 +782,7 @@ def test_kmeans_k_equals_m_and_start_groups(m, n, K):
 
 # -- class-size floors ----------------------------------------------------
 
+@pytest.mark.ci_profile
 @given(st.integers(0, 4999), st.integers(1, 1000), st.integers(1, 4),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_class_floor_and_label_draws(digits, size, k, weighted, seed):
@@ -818,10 +851,8 @@ def test_misclassification_label_permutation_invariant(pair, seed):
 
 # -- library entry points on malformed arguments --------------------------
 
-#: a 6 x 4 matrix and a 2 x 2 labeling of it, the valid arguments that every
-#: call below keeps but one
+#: a 6 x 4 matrix, the valid argument that every call below keeps but one
 SMALL_X = bc.DataMatrix(np.arange(24.0).reshape(6, 4) % 5)
-SMALL_LABELS = bc.LabelAssignment(np.arange(6) % 2, np.arange(4) % 2, 2, 2)
 GAUSS = rate_function("gaussian")
 
 #: not an int: any float (integral, non-finite), bool, NumPy float or None
@@ -866,15 +897,16 @@ BAD_FRACS = st.one_of(st.floats(max_value=-1e-300), st.just(math.nan), st.just(m
 
 
 def spoiled(values):
-    """Copies of the array ``values`` with one entry NaN, inf or -inf."""
+    """Copies of the array ``values`` with one entry NaN, inf or -inf, or
+    as nested lists with one entry text or an int past floats."""
     values = np.asarray(values, dtype=np.float64)
 
     def spoil(at_value):
-        out = values.copy()
+        out = values.astype(object if isinstance(at_value[1], (str, int)) else float)
         out.flat[at_value[0]] = at_value[1]
-        return out
+        return out.tolist() if out.dtype == object else out
     return st.tuples(st.integers(0, values.size - 1),
-                     st.sampled_from([math.nan, math.inf, -math.inf])).map(spoil)
+                     st.sampled_from([math.nan, math.inf, -math.inf, "x", 10**400])).map(spoil)
 
 
 def not_int_labels(size):
@@ -894,9 +926,6 @@ ENTRY_POINTS = {
     "fit": (lambda **a: bc.fit(SMALL_X, fit_config(**a)), {
         "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
         "seed": SEEDS}),
-    "kl_sweep": (lambda **a: bc.kl_sweep(SMALL_X, SMALL_LABELS, GAUSS, **a), {
-        "min_frac": st.one_of(BAD_FRACS, st.floats(0.51, allow_nan=False),
-                              st.sampled_from(NOT_REALS))}),
     "kmeans_init": (lambda **a: bc.kmeans_init(**{"X": SMALL_X, "K": 2, "L": 2, "seed": 0,
                                                   "iters": 2, **a}), {
         "K": st.one_of(COUNTS, above(SMALL_X.m)), "L": st.one_of(COUNTS, above(SMALL_X.n)),
@@ -952,6 +981,7 @@ def malformed_calls(draw):
     return entry, name, draw(ENTRY_POINTS[entry][1][name])
 
 
+@pytest.mark.ci_profile
 @given(malformed_calls())
 @example(("TailBoundInput", "epsilon", "0.3"))
 @example(("TailBoundInput", "delta", None))
@@ -963,6 +993,9 @@ def malformed_calls(draw):
 @example(("population_gap_check", "p", [math.nan, 0.5]))
 @example(("population_gap_check", "M0", np.array([[math.nan, 0.0], [0.0, 1.0]])))
 @example(("population_gap_check", "q", [0.2, 0.3, 0.5]))
+@example(("BlockModelSpec", "p", ["x", 1.0]))
+@example(("BlockModelSpec", "p", [10**400, 0.0]))
+@example(("population_criterion", "M0", [["x", 1], [0, 1]]))
 def test_entry_points_reject_malformed_arguments(call):
     """Each raises ValueError (DomainError and PartitionError are ones)
     whose message names the argument: no TypeError or ZeroDivisionError
@@ -1094,6 +1127,7 @@ def cli_runs(draw):
     return kind, {}, argv
 
 
+@pytest.mark.ci_profile
 @given(cli_runs())
 def test_cli_survives_malformed_inputs(tmp_path_factory, run):
     """Every run exits 0, 2, 3 or 4, with no exception, traceback or
