@@ -110,12 +110,6 @@ class BlockStats:
     def N(self) -> np.ndarray:
         return np.outer(self.row_counts, self.col_counts)
 
-    def means(self) -> np.ndarray:
-        """Xbar_kl = S_kl / N_kl; NaN where a bicluster is empty."""
-        N = self.N
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(N > 0, self.S / np.maximum(N, 1), np.nan)
-
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((labels.size, k))
@@ -162,25 +156,6 @@ def check_support(X: DataMatrix, f: RateFunction) -> None:
             f"entry {X.values[i, j]} at row {i}, column {j} lies outside the "
             f"{f.kind} rate domain"
         )
-
-
-def check_norms(X: DataMatrix) -> None:
-    """Raise DomainError naming the first row, else column, of X whose
-    squared norm, or else X if the sum of its squares, exceeds half of what
-    k-means's summed squared distances (at most 4 max(m, n) times the sum)
-    and the Gaussian rate terms can hold.  No norm exceeds the sum."""
-    V = X.values
-    limit = np.finfo(np.float64).max / (8 * max(V.shape))
-    with np.errstate(over="ignore"):
-        total = np.vdot(V, V)
-        if total <= limit:
-            return
-        rows, cols = np.einsum("ij,ij->i", V, V), np.einsum("ij,ij->j", V, V)
-    for name, sq in (("row {}", rows), ("column {}", cols), ("X", np.array([total]))):
-        i = int(np.argmax(sq > limit))
-        if sq[i] > limit:
-            raise DomainError(f"the squared norm of {name.format(i)} ({sq[i]:.3g}) exceeds "
-                              f"{limit:.3g}: squared sums would overflow")
 
 
 def cell_terms(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,

@@ -32,10 +32,18 @@ def _max_offdiag_product(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConfusionPair:
-    """Joint-proportion confusion matrices for rows (C) and columns (D)."""
+    """Joint-proportion confusion matrices for rows (C) and columns (D), of
+    finite nonnegative entries."""
 
     C: np.ndarray
     D: np.ndarray
+
+    def __post_init__(self):
+        for key in "CD":
+            v = _finite(getattr(self, key), key)
+            if (v < 0).any():
+                raise ValueError(f"{key} must hold only nonnegative entries")
+            object.__setattr__(self, key, v)
 
     def rows_near_diagonal(self, delta: float) -> bool:
         """True if C lies in the delta-neighborhood of permuted diagonals."""

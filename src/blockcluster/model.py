@@ -93,19 +93,39 @@ def derived_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense m-by-n real data matrix."""
+    """Dense m-by-n real data matrix of finite entries, whose rows, columns
+    and total have sums of squares of at most max_float / (8 max(m, n)),
+    half of what k-means's summed squared distances and the Gaussian rate
+    terms can hold; checked once, here.  ``values`` is a read-only view of
+    the array given, not a copy: writes to that array reach X."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        try:
+            v = np.asarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # text, ragged, an int past floats
+            raise ValueError("values must hold only finite real numbers") from None
         if v.ndim != 2:
             raise ValueError(f"data matrix must be 2-dimensional, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"data matrix must be at least 1x1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
+        limit = np.finfo(np.float64).max / (8 * max(v.shape))
+        with np.errstate(over="ignore"):  # a sum <= limit is finite and bounds every norm
+            total = np.vdot(v, v)
+            if not total <= limit:
+                if not np.isfinite(v).all():
+                    i, j = np.argwhere(~np.isfinite(v))[0]
+                    raise ValueError(f"values has a non-finite entry at ({i}, {j})")
+                rows, cols = np.einsum("ij,ij->i", v, v), np.einsum("ij,ij->j", v, v)
+                for name, sq in ("row {}", rows), ("column {}", cols), ("X", total[None]):
+                    i = int(np.argmax(sq > limit))
+                    if sq[i] > limit:
+                        raise DomainError(f"the squared norm of {name.format(i)} "
+                                          f"({sq[i]:.3g}) exceeds {limit:.3g}: "
+                                          "squared sums would overflow")
+        v = v.view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

@@ -29,8 +29,8 @@ any drift of the running sum, so ``fit`` computes F nowhere else.  The row
 lines depend on the column labels alone and the column lines on the row
 labels alone, so the rebuild after a sweep that kept only row (column)
 moves takes the row (column) lines over unchanged: the arrays a rebuild
-from scratch computes.  The data are checked (rate domain, norms) and the
-class-size floors computed once, when ``fit`` is entered.
+from scratch computes.  ``fit`` checks only the rate domain of the data,
+and computes the class-size floors, once, when it is entered.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
@@ -68,11 +68,9 @@ from .criterion import (
     _one_hot,
     block_stats,
     cell_terms,
-    check_norms,
     check_support,
     criterion_value,
     line_move,
-    rate_function,
 )
 from .errors import PartitionError
 from .model import (
@@ -338,7 +336,6 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
     check_int(K, "K", 1, X.m)
     check_int(L, "L", 1, X.n)
     check_int(iters, "iters")
-    check_norms(X)
     g, h = _kmeans_labels([(X.values, K, derived_rng(seed, 0)),
                            (X.values.T, L, derived_rng(seed, 1))], iters)
     return LabelAssignment(row_labels=g, col_labels=h, K=K, L=L)
@@ -519,20 +516,17 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
 
 
 def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
-             min_rows: int, min_cols: int) -> LabelAssignment:
-    """Randomly relabel a fraction of items, keeping class sizes legal."""
+             floors: tuple[int, int]) -> LabelAssignment:
+    """Randomly relabel a fraction of items, keeping classes at ``floors``."""
+    classes = labels.K, labels.L
     for _ in range(20):
-        g = labels.row_labels.copy()
-        h = labels.col_labels.copy()
-        nr = max(1, int(frac * g.size))
-        nc = max(1, int(frac * h.size))
-        g[rng.choice(g.size, size=nr, replace=False)] = rng.integers(labels.K, size=nr)
-        h[rng.choice(h.size, size=nc, replace=False)] = rng.integers(labels.L, size=nc)
-        if (
-            np.bincount(g, minlength=labels.K).min() >= min_rows
-            and np.bincount(h, minlength=labels.L).min() >= min_cols
-        ):
-            return LabelAssignment(row_labels=g, col_labels=h, K=labels.K, L=labels.L)
+        new = [labels.row_labels.copy(), labels.col_labels.copy()]
+        for v, k in zip(new, classes):
+            size = max(1, int(frac * v.size))
+            v[rng.choice(v.size, size=size, replace=False)] = rng.integers(k, size=size)
+        if all(np.bincount(v, minlength=k).min() >= floor
+               for v, k, floor in zip(new, classes, floors)):
+            return LabelAssignment(*new, K=labels.K, L=labels.L)
     return labels
 
 
@@ -545,11 +539,9 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     if init is not None and (init.K, init.L) != (config.K, config.L):
         raise ValueError(f"init has (K, L) = ({init.K}, {init.L}), but the config "
                          f"has ({config.K}, {config.L})")
-    f = rate_function(config.rate)
+    f = RateFunction(config.rate)
     check_support(X, f)
-    check_norms(X)
-    min_rows, min_cols = class_floors(config.min_frac, "min_frac", config.K,
-                                      config.L, X.m, X.n)
+    floors = class_floors(config.min_frac, "min_frac", config.K, config.L, X.m, X.n)
     best: FitResult | None = None
     for r in range(config.restarts):
         if r == 0 and init is not None:
@@ -558,10 +550,9 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             labels = kmeans_init(X, config.K, config.L, iters=config.kmeans_iters,
                                  seed=derived_seed(config.seed, r))
         if r > 0:
-            labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2,
-                              min_rows, min_cols)
+            labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2, floors)
         try:
-            sides, f0 = _sides(X, labels, f, (min_rows, min_cols))
+            sides, f0 = _sides(X, labels, f, floors)
         except PartitionError as exc:
             raise PartitionError(f"restart {r}: {exc}") from exc
         trajectory, moves, converged = [], 0, False

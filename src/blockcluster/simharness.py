@@ -160,11 +160,8 @@ def _run_replicate(plan: SimPlan, cell_index: int, n: int, gamma: float,
     try:
         spec = model.design_spec(plan.design, b, n)
         X, truth = model.generate(spec, m, n, seed)
-        init = optimizer.kmeans_init(
-            X, spec.K, spec.L,
-            seed=model.derived_seed(seed, 0),
-            iters=plan.kmeans_iters,
-        )
+        init = optimizer.kmeans_init(X, spec.K, spec.L, seed=model.derived_seed(seed, 0),
+                                     iters=plan.kmeans_iters)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         return [
             SimRecord(method=meth, error=f"{type(exc).__name__}: {exc}", **base)
@@ -178,12 +175,8 @@ def _run_replicate(plan: SimPlan, cell_index: int, n: int, gamma: float,
             if rate is None:  # KM: no criterion, no sweeps
                 labels, outcome = init, {}
             else:
-                config = optimizer.FitConfig(
-                    K=spec.K, L=spec.L, rate=rate,
-                    max_sweeps=plan.max_sweeps,
-                    kmeans_iters=plan.kmeans_iters,
-                    seed=model.derived_seed(seed, 0),
-                )
+                config = optimizer.FitConfig(K=spec.K, L=spec.L, rate=rate,
+                                             max_sweeps=plan.max_sweeps)
                 result = optimizer.fit(X, config, init=init)
                 labels = result.labels
                 outcome = dict(criterion=result.criterion,

@@ -146,7 +146,7 @@ class TestFit:
         values = np.ones((10, 6))
         values[3, 2] = value
         path = tmp_path / "X.csv"
-        matrixio.write_matrix_csv(DataMatrix(values), path)
+        np.savetxt(path, values, delimiter=",", fmt="%.17g")  # no DataMatrix holds it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([

@@ -214,3 +214,11 @@ def test_block_model_spec_scales_positive_and_finite(name, value):
 def test_data_matrix_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         bc.DataMatrix(np.array([[1.0, np.nan]]))
+
+
+def test_data_matrix_values_are_read_only():
+    """A write through ``X.values`` cannot get round the checks made when X
+    was built."""
+    X = bc.DataMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="read-only"):
+        X.values[0, 0] = np.inf

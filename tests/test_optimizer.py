@@ -222,13 +222,11 @@ class TestFit:
         ((slice(None), 4), 1e153, "column 4"),
     ])
     def test_entries_whose_squares_overflow_named_at_entry(self, at, value, name):
+        """No ``DataMatrix`` holds such data, so no fit or k-means sees them."""
         values = np.ones((10, 6))
         values[at] = value
-        X = bc.DataMatrix(values)
         with pytest.raises(DomainError, match=name):
-            fit(X, FitConfig(K=2, L=2, rate="gaussian"))
-        with pytest.raises(DomainError, match=name):
-            kmeans_init(X, 2, 2, seed=0)
+            bc.DataMatrix(values)
 
     def test_entries_just_below_the_norm_limit_fit(self):
         """Squared sums up to the limit stay finite through k-means and the

@@ -15,17 +15,19 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import event, example, given  # noqa: E402
+from hypothesis import assume, event, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
 from blockcluster import cli, evaluation, matrixio, optimizer, simharness  # noqa: E402
+from blockcluster.errors import DomainError  # noqa: E402
 from blockcluster.model import class_floor, derived_rng, draw_labels  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
     TIE_TOL,
@@ -433,21 +435,42 @@ matrices = hnp.arrays(
 )
 
 
+def unchecked(values):
+    """(matrix, refused): ``values`` as the matrix writers take them, built
+    without ``DataMatrix``, and whether ``DataMatrix`` must refuse them, as
+    their exact sum of squares exceeds max_float / (8 max(m, n)).  Values
+    within 1e-9 of that limit, where rounding decides, are skipped."""
+    limit = Fraction(np.finfo(np.float64).max) / (8 * max(values.shape))
+    total = sum(Fraction(x) ** 2 for x in values.ravel().tolist())
+    assume(abs(total - limit) > limit / 10**9)
+    m, n = values.shape
+    return SimpleNamespace(values=values, m=m, n=n), total > limit
+
+
 @pytest.mark.ci_profile
 @given(matrices, st.booleans())
 def test_csv_roundtrip(tmp_path_factory, values, header):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
-    matrixio.write_matrix_csv(bc.DataMatrix(values), path, header=header)
-    assert np.array_equal(matrixio.read_matrix_csv(path).values, values)
+    raw, refused = unchecked(values)
+    matrixio.write_matrix_csv(raw, path, header=header)
+    if refused:
+        with pytest.raises(DomainError, match="squared norm"):
+            matrixio.read_matrix_csv(path)
+    else:
+        assert np.array_equal(matrixio.read_matrix_csv(path).values, values)
 
 
 @pytest.mark.ci_profile
 @given(matrices)
 def test_binary_roundtrip(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("bmat") / "m.bin"
-    matrixio.write_matrix_binary(bc.DataMatrix(values), path)
-    back = matrixio.read_matrix_binary(path).values
-    assert back.tobytes() == values.tobytes()
+    raw, refused = unchecked(values)
+    matrixio.write_matrix_binary(raw, path)
+    if refused:
+        with pytest.raises(DomainError, match="squared norm"):
+            matrixio.read_matrix_binary(path)
+    else:
+        assert matrixio.read_matrix_binary(path).values.tobytes() == values.tobytes()
 
 
 # -- lockstep k-means against the one-start-at-a-time implementation ------
@@ -961,6 +984,11 @@ ENTRY_POINTS = {
         **{name: st.one_of(COUNTS, above(2**53)) for name in ("m", "n", "K", "L", "T_n")},
         **{name: st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))
            for name in ("epsilon", "delta", "tau", "sigma", "c_lip")}}),
+    "DataMatrix": (bc.DataMatrix, {"values": spoiled(np.ones((3, 2)))}),
+    "ConfusionPair": (lambda **a: bc.ConfusionPair(**{"C": np.eye(2) / 2, "D": np.eye(2) / 2,
+                                                      **a}), {
+        "C": st.one_of(spoiled(np.eye(2) / 2), st.just([[-3, 0], [-2, 0], [1, 0]])),
+        "D": spoiled(np.eye(2) / 2)}),
     "population_criterion": (lambda **a: bc.population_criterion(**{
         "C": np.eye(2) / 2, "D": np.eye(2) / 2, "M0": np.eye(2), "f": GAUSS, **a}), {
         "C": spoiled(np.eye(2) / 2), "D": spoiled(np.eye(2) / 2), "M0": spoiled(np.eye(2))}),
@@ -996,6 +1024,10 @@ def malformed_calls(draw):
 @example(("BlockModelSpec", "p", ["x", 1.0]))
 @example(("BlockModelSpec", "p", [10**400, 0.0]))
 @example(("population_criterion", "M0", [["x", 1], [0, 1]]))
+@example(("DataMatrix", "values", [["x", 1.0]]))
+@example(("DataMatrix", "values", [[10**400, 0.0]]))
+@example(("DataMatrix", "values", np.array([[1.0, math.nan]])))
+@example(("ConfusionPair", "C", [[-3, 0], [-2, 0], [1, 0]]))
 def test_entry_points_reject_malformed_arguments(call):
     """Each raises ValueError (DomainError and PartitionError are ones)
     whose message names the argument: no TypeError or ZeroDivisionError
