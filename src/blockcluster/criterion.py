@@ -76,7 +76,9 @@ class RateFunction:
         """f(mu) for a float array, without the domain check.  A mean that
         rounding pushes just past a boundary takes the boundary value."""
         if self.kind == "gaussian":
-            return 0.5 * mu * mu
+            out = 0.5 * mu
+            out *= mu
+            return out
         out = np.zeros_like(mu)
         if self.kind == "poisson":
             pos = mu > 0
@@ -158,25 +160,22 @@ def check_support(X: DataMatrix, f: RateFunction) -> None:
         )
 
 
-def cell_terms(S: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
-               f: RateFunction) -> np.ndarray:
-    """N * f(S / N) for every cell of a stack of class lines.
-
-    S[..., c, :] holds the sums of class c against the opposite classes,
-    counts[c] its size and other_counts the opposite class sizes, so that
-    N[c, l] = counts[c] * other_counts[l].  The same kernel serves rows and,
-    through transposed views, columns.  No domain check.
+def cell_terms(S: np.ndarray, N: np.ndarray, f: RateFunction) -> np.ndarray:
+    """N * f(S / N) for every cell of a stack of bicluster sums S, whose
+    sizes N broadcast against S.  The one rate-term kernel: it serves F,
+    the single-move deltas and the sweep's scoring, on rows and, through
+    transposed views, on columns.  No domain check.
     """
-    N = counts[..., None] * other_counts
-    return N * f.unchecked(S / N)
+    out = f.unchecked(S / N)
+    out *= N
+    return out
 
 
 def criterion_value(stats: BlockStats, f: RateFunction) -> float:
     """F = sum_kl N_kl * f(S_kl / N_kl).  Requires a nontrivial partition."""
     if stats.row_counts.min() == 0 or stats.col_counts.min() == 0:
         raise PartitionError("criterion undefined: some row or column class is empty")
-    terms = cell_terms(stats.S, stats.row_counts, stats.col_counts, f)
-    return math.fsum(terms.ravel().tolist())
+    return math.fsum(cell_terms(stats.S, stats.N, f).ravel().tolist())
 
 
 def line_move(pairs: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
@@ -192,9 +191,9 @@ def line_move(pairs: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
     here.
     """
     other = other_counts[:, None, :]
-    before = cell_terms(pairs, counts, other, f)
+    before = cell_terms(pairs, counts[..., None] * other, f)
     after = cell_terms(np.stack([pairs[:, 0] - lines, pairs[:, 1] + lines], axis=1),
-                       counts + np.array([-1, 1]), other, f)
+                       (counts + np.array([-1, 1]))[..., None] * other, f)
     old, new = before.sum(axis=2), after.sum(axis=2)
     return (new[:, 0] + new[:, 1]) - (old[:, 0] + old[:, 1])
 

@@ -128,6 +128,11 @@ class DataMatrix:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so a copy is
+        # checked and its values are read-only too
+        return DataMatrix, (self.values,)
+
     @property
     def m(self) -> int:
         return self.values.shape[0]

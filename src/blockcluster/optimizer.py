@@ -3,8 +3,10 @@
 A sweep follows the Kernighan-Lin discipline, in four steps:
 
 1. score: for every row and column, the best single-label move against the
-   frozen current labeling, through ``criterion.cell_terms``; only the
-   items whose best move leaves their class go on (``_Side.best_moves``);
+   frozen current labeling, through ``criterion.cell_terms`` on class-major
+   stacks whose innermost axis runs over the items, so that each sum and
+   maximum over classes is a few whole-vector operations; only the items
+   whose best move leaves their class go on (``_Side.best_moves``);
 2. legal walk: one walk over those moves in decreasing order of their
    step-1 score, with plain int class counts, skips any move that would
    now shrink a class below the minimum size (``_legal``);
@@ -366,24 +368,33 @@ class _Side:
         """(items, targets, deltas) of the items whose best move under the
         frozen state leaves their class, items ascending; staying put wins
         ties within TIE_TOL times the exact sum of |cell terms|, the same on
-        both axes, then the smallest class index."""
+        both axes, then the smallest class index.
+
+        The terms are class-major stacks with the movers innermost, leaving
+        (opposite class, mover) and joining (opposite class, class, mover):
+        a line's cells are summed over the opposite classes by whole-vector
+        adds, in class order, and the deltas (class, mover) are maximised
+        along their leading axis.  Every stack is C-ordered, so both sides
+        sum in the same order whatever the layout of their views."""
         movers = np.flatnonzero(self.counts[self.labels] > self.min_count)
-        a, lines = self.labels[movers], self.lines[movers]
-        # each line summed as line_move sums it, whatever the layout of
-        # this side's view
-        base = np.ascontiguousarray(self.cells).sum(axis=1)
-        leave = cell_terms(self.S[a] - lines, self.counts[a] - 1,
-                           self.other_counts, self.f).sum(axis=1)
-        join = cell_terms(self.S + lines[:, None, :], self.counts + 1,
-                          self.other_counts, self.f).sum(axis=2)
-        d = leave[:, None] + join - base[a][:, None] - base[None, :]
+        a = self.labels[movers]
+        lines = self.lines.T.take(movers, axis=1)  # (opposite class, mover)
+        S, other = np.ascontiguousarray(self.S.T), self.other_counts[:, None]
+        base = np.ascontiguousarray(self.cells.T).sum(axis=0)
+        leave = cell_terms(S.take(a, axis=1) - lines, other * (self.counts[a] - 1.0),
+                           self.f).sum(axis=0)
+        join = cell_terms(S[:, :, None] + lines[:, None, :],
+                          (other * (self.counts + 1.0))[:, :, None], self.f).sum(axis=0)
+        d = leave + join
+        d -= base[a]
+        d -= base[:, None]
         idx = np.arange(movers.size)
-        d[idx, a] = 0.0
-        best = d.max(axis=1)
+        d[a, idx] = 0.0
+        best = d.max(axis=0)
         tol = TIE_TOL * math.fsum(np.abs(self.cells).ravel().tolist())
-        near = d >= (best - tol)[:, None]
-        go = ~near[idx, a]
-        return movers[go], near[go].argmax(axis=1), best[go]
+        near = d >= best - tol
+        go = ~near[a, idx]
+        return movers[go], near[:, go].argmax(axis=0), best[go]
 
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
@@ -404,7 +415,7 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     g, h = labels.row_labels, labels.col_labels
     if C is None:
         C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
-    S, cells = stats.S, cell_terms(stats.S, rcnt, ccnt, f)
+    S, cells = stats.S, cell_terms(stats.S, stats.N, f)
     rows = _Side(X.values, g, stats.R, S, rcnt, ccnt, cells, floors[0], f)
     cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, floors[1], f)
     return (rows, cols), criterion_value(stats, f)
@@ -435,17 +446,20 @@ def _turn_lines(side: _Side, times: np.ndarray, moves: np.ndarray,
     axis's those at ``opp``.  A mover's line is its rebuilt line plus the
     data of the earlier opposite moves, added in move order as a running
     state shifts them between classes.  Each opposite move reaches a suffix
-    of the movers; the walk gathers the moved item's data once for that
-    suffix and stops at the first move that no mover follows."""
+    of the movers; the walk takes the moved item's data for that suffix
+    from its data vector once, updates the two class rows in place, and
+    stops at the first move that no mover follows."""
     items = moves[times, 1]
     out = side.lines[items].T.copy()
+    classes, data = list(out), side.X.T
     first = np.searchsorted(times, opp)
     for r, j, a, k in zip(first.tolist(), *moves[opp, 1:].T.tolist()):
         if r == items.size:
             break
-        x = side.X[items[r:], j]
-        out[a, r:] -= x
-        out[k, r:] += x
+        x = data[j][items[r:]]
+        leave, join = classes[a][r:], classes[k][r:]
+        np.subtract(leave, x, out=leave)
+        np.add(join, x, out=join)
     return out.T
 
 
@@ -458,9 +472,13 @@ def _replay(sides, moves: np.ndarray) -> np.ndarray:
     moves' -line/+line updates to S in move order, and one int cumsum of
     -1/+1 to the class sizes, rows then columns; then ``line_move`` gives
     all deltas of an axis at once.  The running S holds (moves + 1) K L
-    floats; a sweep applies at most one move per mover, and its scoring
-    already holds several (movers, K, L) arrays (``best_moves``), so the
-    cumsum never raises a sweep's peak."""
+    floats.  A sweep applies at most one move per mover, and scoring the
+    side with more movers holds three (L, K, movers) float arrays at once
+    (``best_moves``: the join stack, its means and its terms), so the
+    running S is never larger than those; with the class-size cumsum and
+    ``line_move``'s stacks the replay's peak can still exceed scoring's by
+    a fraction (tracemalloc, first sweep of a 1000 x 1000 Gaussian fit with
+    K = L = 8: 1.9 MiB against 1.6 MiB)."""
     if not moves.size:  # no legal move: skip the set-up below, some 40 NumPy calls
         return np.zeros(0)
     rows = sides[0]
@@ -500,13 +518,15 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     kept = int(running.argmax())
     if kept == 0:
         return labels, sides, f0, 0
+    head = moves[:kept]
+    moved = head[:, 0]
     new = [labels.row_labels.copy(), labels.col_labels.copy()]
-    for s, i, _, k in moves[:kept].tolist():
-        new[s][i] = k
+    for s, v in enumerate(new):  # an item moves at most once per sweep
+        _, i, _, k = head[moved == s].T
+        v[i] = k
     new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
                                  K=labels.K, L=labels.L)
     rows, cols = sides
-    moved = moves[:kept, 0]
     new_sides, f1 = _sides(X, new_labels, rows.f, (rows.min_count, cols.min_count),
                            None if moved.any() else rows.lines,
                            cols.lines.T if moved.all() else None)

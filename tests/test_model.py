@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,3 +224,24 @@ def test_data_matrix_values_are_read_only():
     X = bc.DataMatrix(np.ones((2, 3)))
     with pytest.raises(ValueError, match="read-only"):
         X.values[0, 0] = np.inf
+
+
+@pytest.mark.parametrize("clone", [lambda X: pickle.loads(pickle.dumps(X)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_data_matrix_copies_stay_read_only(clone):
+    """Pickling and deep copying rebuild X through its constructor, so the
+    copy's values are equal to X's and read-only too."""
+    X = bc.DataMatrix(np.arange(6.0).reshape(2, 3))
+    Y = clone(X)
+    assert np.array_equal(Y.values, X.values)
+    with pytest.raises(ValueError, match="read-only"):
+        Y.values[0, 0] = np.inf
+
+
+def test_unpickling_checks_the_data():
+    """Bytes that hold a matrix no ``DataMatrix`` accepts are refused when
+    they are loaded."""
+    X = bc.DataMatrix(np.ones((2, 3)))
+    object.__setattr__(X, "values", np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        pickle.loads(pickle.dumps(X))

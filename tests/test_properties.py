@@ -55,13 +55,28 @@ def draw_values(draw, kind, m, n):
     return values, rng
 
 
+def draw_shape(draw, classes, wide=True):
+    """(m, n, K, L): 4 to 12 rows and columns, each axis in a number of
+    classes drawn from ``classes``; if ``wide``, one axis in three instead
+    holds 8 to 10 classes of 2 or 3 items each, so that sums over that many
+    classes take NumPy's pairwise path (8 terms or more).  Shuffled
+    round-robin labels on these shapes meet a 10% class-size floor."""
+    m, n = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    K, L = draw(classes), draw(classes)
+    axis = draw(st.sampled_from([None, 0, 1])) if wide else None
+    if axis is not None:
+        k = draw(st.integers(8, 10))
+        m, n, K, L = ((k * draw(st.integers(2, 3)), n, k, L) if axis == 0
+                      else (m, k * draw(st.integers(2, 3)), K, k))
+    return m, n, K, L
+
+
 @st.composite
 def problems(draw):
     """(X, labels, f, min_frac): small data inside the rate's domain and a
-    labeling that meets the class-size floor."""
+    labeling that meets the class-size floor (shapes from ``draw_shape``)."""
     kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
-    m, n = draw(st.integers(4, 12)), draw(st.integers(4, 12))
-    K, L = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    m, n, K, L = draw_shape(draw, st.integers(2, 4))
     min_frac = draw(st.sampled_from([0.0, 0.1]))
     values, rng = draw_values(draw, kind, m, n)
     # shuffled round-robin classes hold at least floor(m / K) items, which
@@ -247,7 +262,7 @@ def sequential_apply(sides, moves, f):
             continue
         line = lines[i]
         after = cell_terms(np.stack([S_[a] - line, S_[k] + line]),
-                           np.array([counts[a] - 1, counts[k] + 1]), other, f)
+                           np.array([[counts[a] - 1], [counts[k] + 1]]) * other, f)
         old, new = cached[[a, k]].sum(axis=1), after.sum(axis=1)
         deltas.append((new[0] + new[1]) - (old[0] + old[1]))
         S_[a] -= line
@@ -289,13 +304,12 @@ def sequential_sweep(X, labels, f, min_frac):
 @st.composite
 def replay_problems(draw):
     """(X, labels, f, min_frac): as ``problems``, with the 30% class-size
-    floor (two classes) and single-class axes, whose sweeps move items of
-    the other axis only, or none."""
+    floor (two classes, no wide axis) and single-class axes, whose sweeps
+    move items of the other axis only, or none."""
     kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
-    m, n = draw(st.integers(4, 12)), draw(st.integers(4, 12))
     min_frac = draw(st.sampled_from([0.0, 0.1, 0.3]))
-    sizes = st.sampled_from([1, 2] if min_frac == 0.3 else [1, 2, 3, 4])
-    K, L = draw(sizes), draw(sizes)
+    m, n, K, L = draw_shape(draw, st.sampled_from([1, 2] if min_frac == 0.3 else [1, 2, 3, 4]),
+                            wide=min_frac < 0.3)
     values, rng = draw_values(draw, kind, m, n)
     g = rng.permutation(np.arange(m) % K)
     h = rng.permutation(np.arange(n) % L)
