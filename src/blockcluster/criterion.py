@@ -29,9 +29,6 @@ if TYPE_CHECKING:  # model imports this module for the rate domains
 
 RATE_KINDS = ("bernoulli", "poisson", "gaussian")
 
-#: two move deltas within this fraction of the summed |cell terms| tie
-TIE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RateFunction:

@@ -17,11 +17,14 @@ A sweep follows the Kernighan-Lin discipline, in four steps:
    (possibly the empty prefix) is kept, and the state rebuilt from it.
 
 Each item moves at most once per sweep, so a sweep never decreases the
-criterion.  One engine serves both axes: a column move is a row move on the
-transpose, so the column side of the state holds transposed views of the
-row side's arrays.  Every float addition of the replay happens in the same
-order as when the items are moved one at a time, so the deltas and labels
-are those of a sequential loop, bit for bit.
+criterion.  Moves and convergence compare exactly, with no tolerance to
+scale with F: an item moves only when its scored delta is > 0, and a
+restart stops after a sweep that does not raise F.  One engine serves both
+axes: a column move is a row move on the transpose, so the column side of
+the state holds transposed views of the row side's arrays.  Every float
+addition of the replay happens in the same order as when the items are
+moved one at a time, so the deltas and labels are those of a sequential
+loop, bit for bit.
 
 The state is read, never written, during a sweep.  It is rebuilt once per
 restart and once for each sweep that keeps moves, from the kept labeling:
@@ -59,13 +62,13 @@ distances to two centres agree to within rounding.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .criterion import (
-    TIE_TOL,
     RateFunction,
     _one_hot,
     block_stats,
@@ -80,10 +83,10 @@ from .model import (
     derived_seed,
 )
 
+log = logging.getLogger(__name__)
+
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
-#: a restart stops once a sweep gains at most this fraction of |F|
-CONVERGENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -366,9 +369,10 @@ class _Side:
 
     def best_moves(self):
         """(items, targets, deltas) of the items whose best move under the
-        frozen state leaves their class, items ascending; staying put wins
-        ties within TIE_TOL times the exact sum of |cell terms|, the same on
-        both axes, then the smallest class index.
+        frozen state leaves their class, items ascending.  The comparisons
+        are exact: an item moves only when its best delta is > 0, so staying
+        put wins exact ties, and its target is the smallest class index of
+        that best delta.
 
         The terms are class-major stacks with the movers innermost, leaving
         (opposite class, mover) and joining (opposite class, class, mover):
@@ -391,10 +395,8 @@ class _Side:
         idx = np.arange(movers.size)
         d[a, idx] = 0.0
         best = d.max(axis=0)
-        tol = TIE_TOL * math.fsum(np.abs(self.cells).ravel().tolist())
-        near = d >= best - tol
-        go = ~near[a, idx]
-        return movers[go], near[:, go].argmax(axis=0), best[go]
+        go = best > 0.0
+        return movers[go], d[:, go].argmax(axis=0), best[go]
 
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
@@ -524,8 +526,7 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     for s, v in enumerate(new):  # an item moves at most once per sweep
         _, i, _, k = head[moved == s].T
         v[i] = k
-    new_labels = LabelAssignment(row_labels=new[0], col_labels=new[1],
-                                 K=labels.K, L=labels.L)
+    new_labels = LabelAssignment(*new, K=labels.K, L=labels.L)
     rows, cols = sides
     new_sides, f1 = _sides(X, new_labels, rows.f, (rows.min_count, cols.min_count),
                            None if moved.any() else rows.lines,
@@ -537,7 +538,8 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
 
 def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
              floors: tuple[int, int]) -> LabelAssignment:
-    """Randomly relabel a fraction of items, keeping classes at ``floors``."""
+    """Randomly relabel a fraction of items, keeping classes at ``floors``;
+    after 20 draws that all miss them, the labels as they are (logged)."""
     classes = labels.K, labels.L
     for _ in range(20):
         new = [labels.row_labels.copy(), labels.col_labels.copy()]
@@ -547,6 +549,7 @@ def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
         if all(np.bincount(v, minlength=k).min() >= floor
                for v, k, floor in zip(new, classes, floors)):
             return LabelAssignment(*new, K=labels.K, L=labels.L)
+    log.debug("no perturbation in 20 draws met the class floors; start unperturbed")
     return labels
 
 
@@ -575,13 +578,12 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
             sides, f0 = _sides(X, labels, f, floors)
         except PartitionError as exc:
             raise PartitionError(f"restart {r}: {exc}") from exc
-        trajectory, moves, converged = [], 0, False
+        trajectory, moves = [], 0
         for _ in range(config.max_sweeps):
             labels, sides, final, kept = _sweep(X, labels, sides, f0)
             moves += kept
             trajectory.append(final)
-            if final - f0 <= CONVERGENCE_TOL * abs(final):
-                converged = True
+            if converged := final <= f0:
                 break
             f0 = final
         result = FitResult(labels, final, trajectory, restart_index=r,

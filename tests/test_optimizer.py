@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import blockcluster as bc
 from blockcluster import optimizer
 from blockcluster.criterion import block_stats, criterion_value, rate_function
 from blockcluster.errors import DomainError, PartitionError
+from blockcluster.model import draw_labels
 from blockcluster.optimizer import FitConfig, fit, kmeans_init
 
 
@@ -268,9 +270,9 @@ class TestFit:
     @pytest.mark.parametrize("seed", range(10))
     def test_small_units_give_the_labels_of_the_data_in_large_ones(self, seed):
         """The Gaussian 2 x 3 design (b = 1, 200 x 200) scaled by 1e-7 and
-        fitted from random labels gives the unscaled fit's labels: the tie
-        and convergence tolerances are relative to the data.  With absolute
-        ones every such fit stops after one sweep."""
+        fitted from random labels gives the unscaled fit's labels: moves and
+        convergence compare exactly, so no tolerance sets a unit of F.  An
+        absolute tolerance would stop every such fit after one sweep."""
         X, _ = bc.generate(bc.design_spec("gaussian", b=1.0, n=200), 200, 200, seed)
         rng = np.random.default_rng([seed, 1])
         init = bc.LabelAssignment(rng.permutation(np.arange(200) % 2),
@@ -282,6 +284,34 @@ class TestFit:
         assert np.array_equal(a.labels.col_labels, b.labels.col_labels)
         assert b.criterion == pytest.approx(1e-14 * a.criterion, rel=1e-9)
         assert len(b.sweep_trajectory) > 1
+
+    def test_an_offset_leaves_the_gaussian_fit_alone(self):
+        """F(X + c) = F(X) + c sum(X) + m n c^2 / 2 under the Gaussian rate,
+        and the added terms do not depend on the labels.  On the Gaussian
+        2 x 3 design (b = 1, 200 x 200, seeds 0-9, random starts) X + 1e4
+        gives the labels of X in every fit.  At X + 1e6 the cell terms reach
+        about 1e16, whose rounding is as large as some single items' gains,
+        so a few boundary items may land otherwise; the mean
+        misclassification stays that of X to within 1e-3.  A tolerance
+        measured against |F| or the summed |cell terms| grows with c^2 and
+        stops these fits early."""
+        config = FitConfig(K=2, L=3, rate="gaussian")
+        spec = bc.design_spec("gaussian", b=1.0, n=200)
+        rates = {0.0: [], 1e6: []}
+        for seed in range(10):
+            X, truth = bc.generate(spec, 200, 200, seed)
+            rng = np.random.default_rng(1000 + seed)
+            init = bc.LabelAssignment(draw_labels(rng, 2, 200), draw_labels(rng, 3, 200),
+                                      2, 3)
+            a = fit(X, config, init=init)
+            b = fit(bc.DataMatrix(X.values + 1e4), config, init=init)
+            assert np.array_equal(a.labels.row_labels, b.labels.row_labels)
+            assert np.array_equal(a.labels.col_labels, b.labels.col_labels)
+            c = fit(bc.DataMatrix(X.values + 1e6), config, init=init)
+            for shift, result in ((0.0, a), (1e6, c)):
+                rates[shift].append(bc.misclassification(truth, result.labels)[2])
+        assert np.mean(rates[1e6]) == pytest.approx(np.mean(rates[0.0]), abs=1e-3)
+        assert np.mean(rates[0.0]) < 0.01
 
     def test_one_block_stats_per_rebuild_and_one_rebuild_per_kept_sweep(
             self, monkeypatch):
@@ -313,6 +343,19 @@ class TestFit:
         assert result.criterion == criterion_value(
             block_stats(X, result.labels), rate_function("gaussian")
         )
+
+    def test_perturbation_that_misses_the_floors_is_logged(self, caplog):
+        """With min_frac = 0.25 and four classes of 10 on each axis, every
+        class sits at its floor, so no relabelling of 8 items that changes a
+        class size is legal: restart 1 falls back to its k-means start, and
+        says so at DEBUG."""
+        g, h = np.arange(40) % 4, np.arange(40) // 10
+        X = planted_matrix(np.arange(16.0).reshape(4, 4) ** 1.5, g, h, noise=0.01)
+        config = FitConfig(K=4, L=4, rate="gaussian", restarts=2, min_frac=0.25)
+        with caplog.at_level(logging.DEBUG, logger="blockcluster.optimizer"):
+            result = fit(X, config)
+        assert result.labels.row_counts().tolist() == [10] * 4
+        assert any("class floors" in m for m in caplog.messages)
 
     def test_init_of_wrong_shape_rejected(self):
         X = bc.DataMatrix(np.zeros((4, 5)))
