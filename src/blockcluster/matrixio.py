@@ -1,9 +1,16 @@
 """Serialization: CSV and binary matrices, single-column label files.
 
 CSV dialect: comma separator, '.' decimal point.  An optional header row is
-detected on read by a non-numeric first field.  The binary layout is
-magic "BMAT", uint64 m, uint64 n, then m*n row-major float64 values, all
-little-endian.  Labels are 0-based integers, one per line.
+detected on read by a non-numeric first field.  A CSV file whose data tokens
+are all plain non-negative integers below 2**64 (count data) is parsed as
+integers, exactly, and each count is rounded to float64 as the float parse
+rounds it.  Any other token (a '-', a '.', an exponent, nan, 2**64 or more,
+an empty or missing field) sends the whole file to the float parse, which
+gives the values and messages it always gave.  The worst case is an integer
+file with one late non-integer token: it is parsed twice.
+
+The binary layout is magic "BMAT", uint64 m, uint64 n, then m*n row-major
+float64 values, all little-endian.  Labels are 0-based integers, one per line.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .model import DataMatrix
 
 MAGIC = b"BMAT"
 _HEADER = struct.Struct("<4sQQ")
+#: values per block of the in-place cast of parsed counts to float64
+_CAST_BLOCK = 1 << 15
 
 
 def write_matrix_csv(X: DataMatrix, path, header: bool = False) -> None:
@@ -38,7 +47,18 @@ def read_matrix_csv(path) -> DataMatrix:
         float(first.split(",")[0])
     except ValueError:
         skip = 1
-    return DataMatrix(_loadtxt(path, "data rows", delimiter=",", skiprows=skip, ndmin=2))
+    kwargs = dict(delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        counts = _loadtxt(path, "data rows", dtype=np.uint64, **kwargs)
+    except ValueError:  # a token that is not a count: the float parse decides
+        return DataMatrix(_loadtxt(path, "data rows", **kwargs))
+    # cast in place, a block of rows at a time, so X is held once; uint64 to
+    # float64 rounds to nearest, as the float parse's strtod does
+    values = counts.view(np.float64)
+    rows = max(1, _CAST_BLOCK // counts.shape[1])
+    for i in range(0, len(counts), rows):
+        values[i:i + rows] = counts[i:i + rows]
+    return DataMatrix(values)
 
 
 def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
@@ -46,9 +66,13 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
     parse and for a file without data, where loadtxt would warn instead."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # older NumPy releases read an integer field such as "1.5" or "-0"
+        # through a float, truncated, with only this warning: refuse it
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
         try:
             values = np.loadtxt(path, **kwargs)
-        except ValueError as exc:
+        except (ValueError, DeprecationWarning) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not values.size:
         raise ValueError(f"{path}: no {what}")

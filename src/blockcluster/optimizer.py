@@ -87,6 +87,8 @@ log = logging.getLogger(__name__)
 
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
+#: rows of X per tile when gathering columns of X (``_gather``)
+GATHER_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,11 @@ def _starts(points: np.ndarray, pp: np.ndarray, centers: np.ndarray, flip: int,
                 C[t, empty[0]] = points[idx]
                 g[idx] = empty[0]
                 o[idx] = -1.0
-                empty = np.flatnonzero(np.bincount(g, minlength=k) == 0)
+                cnt[t] = np.bincount(g, minlength=k)
+                empty = np.flatnonzero(cnt[t] == 0)
         onehot = np.zeros((a * k, n))
         onehot[lab + offsets, np.arange(n)] = 1.0
         S = (yield 1 - flip, onehot).reshape(a, k, d)
-        cnt = onehot.sum(axis=1).reshape(a, k)
         del onehot
         new = S / cnt[:, :, None]
         labels[active], sums[active], counts[active] = lab, S, cnt
@@ -266,6 +268,19 @@ def _lockstep(runs: list, points: np.ndarray) -> list:
     return [results[run] for run in runs]
 
 
+def _gather(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``points[mask]``, the same C-ordered array.  For the columns of X,
+    the view X.T, it is filled from tiles of ``GATHER_TILE`` rows of X, so
+    that X is read row by row rather than down its columns."""
+    if points.flags.c_contiguous:
+        return points[mask]
+    X, idx = points.T, np.flatnonzero(mask)
+    out = np.empty((idx.size, X.shape[0]))
+    for r in range(0, X.shape[0], GATHER_TILE):
+        out[:, r:r + GATHER_TILE] = X[r:r + GATHER_TILE, idx].T
+    return out
+
+
 def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):
     """The labels of the start of least within-cluster sum of squares, the
     first one on ties, from the (labels, sums, counts) of ``_starts`` runs."""
@@ -294,7 +309,7 @@ def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):
             mask = g == j
             key = mask.tobytes()
             if key not in terms:
-                cluster = points[mask]
+                cluster = _gather(points, mask)
                 cluster -= cluster.mean(axis=0)
                 cluster *= cluster
                 terms[key] = float(cluster.sum())

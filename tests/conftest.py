@@ -1,10 +1,11 @@
-"""Hypothesis profiles for the property tests, the exhaustive oracle, and
-one sweep run through ``fit``.
+"""Hypothesis profiles for the property tests, the exhaustive oracle, one
+sweep run through ``fit``, and the CSV reader held to its float parse.
 
 ``default`` checks the same 100 derandomized examples per property on every
 run; ``ci`` (``pytest --hypothesis-profile=ci``) checks 1000.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -62,3 +63,25 @@ def exhaustive_max():
 @pytest.fixture(scope="session")
 def one_sweep():
     return _one_sweep
+
+
+@contextlib.contextmanager
+def _float_parse_only():
+    """Within it, ``matrixio.read_matrix_csv``'s integer parse fails, so
+    every file takes the float parse, as a file with a token that is not a
+    count does."""
+    loadtxt = np.loadtxt
+
+    def refuse_counts(*args, dtype=float, **kwargs):
+        if dtype is np.uint64:
+            raise ValueError("integer parse refused")
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", refuse_counts)
+        yield
+
+
+@pytest.fixture(scope="session")
+def float_parse_only():
+    return _float_parse_only

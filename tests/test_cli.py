@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockcluster import DataMatrix, FitConfig, fit, matrixio
+import blockcluster
+from blockcluster import DataMatrix, FitConfig, fit, matrixio, model
 from blockcluster.cli import main
 
 
@@ -432,3 +437,28 @@ def test_undecodable_file_is_usage_error_naming_it(tmp_path, capsys, argv):
     assert main([arg.format(f=path, d=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "codec can't decode" in err
+
+
+@pytest.mark.parametrize("design, b", [("poisson", 10.0), ("gaussian", 1.0)],
+                         ids=["counts", "reals"])
+def test_fit_in_a_child_is_the_same_at_1_and_2_blas_threads(tmp_path, design, b):
+    """``blockcluster fit`` on a count CSV (the integer parse) and on a real
+    one (the float parse), run as a child with OPENBLAS_NUM_THREADS 1 and
+    2 in its own environment only, writes the same label files and the
+    same criterion, bit for bit."""
+    X, _ = model.generate(model.design_spec(design, b, 500), 600, 500, 17)
+    path = tmp_path / "X.csv"
+    matrixio.write_matrix_csv(X, path)
+    src = str(Path(blockcluster.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        prefix = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "blockcluster.cli", "fit", "--input", str(path),
+                        "--output", str(prefix), "--K", "2", "--L", "3", "--rate", design,
+                        "--restarts", "2", "--seed", "3"],
+                       env=env, capture_output=True, check=True)
+        runs.append([Path(f"{prefix}.{axis}.csv").read_bytes() for axis in ("rows", "cols")]
+                    + [json.loads(Path(f"{prefix}.report.json").read_text())["criterion"]])
+    assert runs[0] == runs[1]

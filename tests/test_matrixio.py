@@ -1,8 +1,11 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockcluster import DataMatrix
-from blockcluster import matrixio
+from blockcluster import matrixio, model
 
 
 @pytest.fixture
@@ -61,3 +64,61 @@ def test_single_row_matrix(tmp_path):
     path = tmp_path / "m.csv"
     matrixio.write_matrix_csv(DataMatrix(np.array([[1.0, 2.0]])), path)
     assert matrixio.read_matrix_csv(path).values.shape == (1, 2)
+
+
+def read_both(path, float_parse_only):
+    """The values read_matrix_csv gives, and those its float parse gives."""
+    got = matrixio.read_matrix_csv(path).values
+    with float_parse_only():
+        return got, matrixio.read_matrix_csv(path).values
+
+
+def test_counts_read_as_the_float_parse_reads_them(tmp_path, float_parse_only):
+    """Counts past 2**53 round to float64 as strtod rounds them, and the
+    result is a read-only float64 matrix."""
+    path = tmp_path / "m.csv"
+    path.write_text("c0,c1,c2\n0,+3,007\n9007199254740993,18446744073709551615, 12\n")
+    got, expected = read_both(path, float_parse_only)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert got.shape == (2, 3) and got.tobytes() == expected.tobytes()
+    assert got[1, 0] == 2.0**53 and got[1, 1] == 2.0**64
+
+
+@pytest.mark.parametrize("token", ["-0", "1.5", "3e2", "18446744073709551616"])
+def test_one_late_token_that_is_not_a_count_takes_the_float_parse(tmp_path,
+                                                                   float_parse_only, token):
+    path = tmp_path / "m.csv"
+    cells = [[str(i * 7 + j) for j in range(7)] for i in range(300)]
+    cells[-1][-1] = token
+    path.write_text("".join(",".join(row) + "\n" for row in cells))
+    got, expected = read_both(path, float_parse_only)
+    assert got.tobytes() == expected.tobytes()
+    assert np.signbit(got[-1, -1]) == (token == "-0")
+
+
+@pytest.fixture(scope="module")
+def count_csv(tmp_path_factory):
+    """The benchmark's CLI input: the Poisson 2x3 design, b = 10, 2000 x
+    2000, as ``write_matrix_csv`` writes it."""
+    X, _ = model.generate(model.design_spec("poisson", 10.0, 2000), 2000, 2000, 201)
+    path = tmp_path_factory.mktemp("counts") / "x.csv"
+    matrixio.write_matrix_csv(X, path)
+    return X, path
+
+
+def test_count_csv_read_holds_the_matrix_once(count_csv, float_parse_only):
+    """The integer parse casts its counts in place: its traced peak is
+    within 1 MiB of the float parse's, and its values are X's."""
+    X, path = count_csv
+    peaks = []
+    for parse in (contextlib.nullcontext, float_parse_only):
+        with parse():
+            tracemalloc.start()
+            try:
+                values = matrixio.read_matrix_csv(path).values
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(values, X.values)
+        del values
+    assert abs(peaks[0] - peaks[1]) <= 2**20, peaks

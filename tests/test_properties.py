@@ -260,6 +260,24 @@ def test_constant_matrices_do_not_creep_on_ties(c, kind, m, n, K, L, seed):
     assert abs(result.criterion - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.ci_profile
+@given(st.sampled_from(["gaussian", "poisson", "bernoulli"]), st.integers(1, 12),
+       st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_block_sums_add_as_add_at_does(kind, m, n, K, L, data):
+    """S adds the row lines of each row class in row order, from 0.0, as
+    ``np.add.at`` does, bit for bit; also with one class on an axis and
+    with classes that hold no item."""
+    values, rng = draw_values(data.draw, kind, m, n)
+    K, L = min(K, m), min(L, n)
+    labels = bc.LabelAssignment(rng.integers(K, size=m), rng.integers(L, size=n), K, L)
+    event(f"empty classes: {min(labels.row_counts().min(), labels.col_counts().min()) == 0}")
+    X = bc.DataMatrix(values)
+    stats = block_stats(X, labels)
+    S = np.zeros((K, L))
+    np.add.at(S, labels.row_labels, stats.R)
+    assert stats.S.tobytes() == S.tobytes()
+
+
 # -- the sweep's replay against the one-move-at-a-time apply loop ---------
 
 def sequential_apply(sides, moves, f):
@@ -705,6 +723,33 @@ def test_ranking_skip_returns_what_the_full_ranking_would():
     assert np.array_equal(got, CLUSTER)
 
 
+def test_ranking_on_a_transposed_view_ranks_as_on_a_copy():
+    """The column ranking gathers each cluster of the view X.T from tiles
+    of X's rows: the same array, bit for bit, as ``points[mask]``, so the
+    terms and the winner are those of a contiguous copy, in the permuted
+    SPREAD case too (a zero second column adds nothing to a term)."""
+    points = np.asfortranarray(np.hstack([SPREAD, np.zeros_like(SPREAD)]))
+    assert not points.flags.c_contiguous
+    pp = np.einsum("ij,ij->i", points, points)
+    permuted = [np.array([2, 0, 1])[CLUSTER], CLUSTER]
+    for view in (points, np.ascontiguousarray(points)):
+        runs = [finished_starts(view, permuted, 3)]
+        assert np.array_equal(optimizer._best_start(view, pp, 3, runs), CLUSTER)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((optimizer.GATHER_TILE * 2 + 13, 40))
+    # permutations of one labeling tie on the shortlist, so all are ranked
+    base = rng.integers(3, size=40)
+    labelings = [np.array(perm)[base] for perm in itertools.permutations(range(3))]
+    pp = np.einsum("ij,ij->j", X, X)
+    got = optimizer._best_start(X.T, pp, 3, [finished_starts(X.T, labelings, 3)])
+    copy = np.ascontiguousarray(X.T)
+    assert np.array_equal(got, optimizer._best_start(copy, pp, 3,
+                                                     [finished_starts(copy, labelings, 3)]))
+    for g in labelings:
+        for j in range(3):
+            assert optimizer._gather(X.T, g == j).tobytes() == X.T[g == j].tobytes()
+
+
 @pytest.mark.ci_profile
 @given(st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_kmeans_on_integer_data_with_duplicates(K, d, seed):
@@ -1085,6 +1130,9 @@ def test_entry_points_reject_malformed_arguments(call):
 #: CSV cells: numbers, non-finite and overflowing values, text
 CSV_CELLS = ["0", "1", "-2.5", "3e2", "nan", "inf", "-inf", "1e308", "1e400",
              "", "x"]
+#: count cells: signed, padded, zero-led, past 2**53, a negative zero and 2**64
+COUNT_CELLS = ["0", "7", "+3", " 12", "007", "-0", "9007199254740993",
+               "18446744073709551616"]
 #: label-file lines: labels, a negative, a float, text
 LABEL_LINES = ["0", "1", "2", "-1", "0.5", "1e3", "x"]
 HUGE = "9" * 401
@@ -1126,19 +1174,43 @@ def undecodable(draw, text):
 
 
 @st.composite
-def csv_texts(draw):
-    """Rows of numbers, or ragged rows of any ``CSV_CELLS``, with trailing
+def csv_texts(draw, numbers=tuple(CSV_CELLS[:4]), cells=tuple(CSV_CELLS)):
+    """Rows of ``numbers``, or ragged rows of any ``cells``, with trailing
     commas, a header, blank lines, or no rows at all."""
     width = draw(st.integers(1, 4))
-    row = (st.lists(st.sampled_from(CSV_CELLS[:4]), min_size=width, max_size=width)
+    row = (st.lists(st.sampled_from(numbers), min_size=width, max_size=width)
            if draw(st.integers(0, 3))
-           else st.lists(st.sampled_from(CSV_CELLS), min_size=1, max_size=4))
+           else st.lists(st.sampled_from(cells), min_size=1, max_size=4))
     end = mostly(draw, ["", ","])
     lines = [",".join(r) + end for r in draw(st.lists(row, max_size=6))]
     if draw(st.booleans()):
         lines.insert(0, ",".join(f"c{j}" for j in range(width)))
     lines += [""] * draw(st.integers(0, 2))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def csv_read(path):
+    """('values', shape, bytes) of ``read_matrix_csv(path)``, or ('error',
+    type, message) of the ValueError it raises."""
+    try:
+        values = matrixio.read_matrix_csv(path).values
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "values", values.shape, values.tobytes()
+
+
+@pytest.mark.ci_profile
+@given(csv_texts(tuple(COUNT_CELLS), tuple(COUNT_CELLS + CSV_CELLS)))
+def test_csv_read_equals_the_float_parse(tmp_path_factory, float_parse_only, text):
+    """Count files take the integer parse, any other the float parse; both
+    give the float parse's values, bit for bit, or its error."""
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text(text)
+    got = csv_read(path)
+    with float_parse_only():
+        expected = csv_read(path)
+    event(got[0])
+    assert got == expected
 
 
 @st.composite
