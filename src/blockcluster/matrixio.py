@@ -1,13 +1,14 @@
 """Serialization: CSV and binary matrices, single-column label files.
 
-CSV dialect: comma separator, '.' decimal point.  An optional header row is
-detected on read by a non-numeric first field.  A CSV file whose data tokens
-are all plain non-negative integers below 2**64 (count data) is parsed as
-integers, exactly, and each count is rounded to float64 as the float parse
-rounds it.  Any other token (a '-', a '.', an exponent, nan, 2**64 or more,
-an empty or missing field) sends the whole file to the float parse, which
-gives the values and messages it always gave.  The worst case is an integer
-file with one late non-integer token: it is parsed twice.
+CSV dialect: UTF-8, a leading byte-order mark skipped, comma separator, '.'
+decimal point.  An optional header row is detected on read by a non-numeric
+first field.  A CSV file whose data tokens are all plain non-negative
+integers below 2**64 (count data) is parsed as integers, exactly, and each
+count is rounded to float64 as the float parse rounds it.  Any other token
+(a '-', a '.', an exponent, nan, 2**64 or more, an empty or missing field)
+sends the whole file to the float parse, which gives the values and messages
+it always gave.  The worst case is an integer file with one late non-integer
+token: it is parsed twice.
 
 The binary layout is magic "BMAT", uint64 m, uint64 n, then m*n row-major
 float64 values, all little-endian.  Labels are 0-based integers, one per line.
@@ -35,7 +36,7 @@ def write_matrix_csv(X: DataMatrix, path, header: bool = False) -> None:
 
 
 def read_matrix_csv(path) -> DataMatrix:
-    with open(path, "r") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             first = fh.readline()
         except UnicodeDecodeError as exc:
@@ -71,7 +72,7 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
         warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
                                 DeprecationWarning)
         try:
-            values = np.loadtxt(path, **kwargs)
+            values = np.loadtxt(path, encoding="utf-8-sig", **kwargs)
         except (ValueError, DeprecationWarning) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not values.size:

@@ -34,8 +34,10 @@ any drift of the running sum, so ``fit`` computes F nowhere else.  The row
 lines depend on the column labels alone and the column lines on the row
 labels alone, so the rebuild after a sweep that kept only row (column)
 moves takes the row (column) lines over unchanged: the arrays a rebuild
-from scratch computes.  ``fit`` checks only the rate domain of the data,
-and computes the class-size floors, once, when it is entered.
+from scratch computes.  ``fit`` checks the rate domain and computes the
+class-size floors once, on entry, and each restart's start against the
+floors once, where it enters; the legal walk keeps every kept labeling at
+the floors, so a rebuild checks nothing.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
@@ -87,8 +89,6 @@ log = logging.getLogger(__name__)
 
 #: k-means++ starts per k-means initialization; the best one is kept
 KMEANS_STARTS = 10
-#: rows of X per tile when gathering columns of X (``_gather``)
-GATHER_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -268,19 +268,6 @@ def _lockstep(runs: list, points: np.ndarray) -> list:
     return [results[run] for run in runs]
 
 
-def _gather(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``points[mask]``, the same C-ordered array.  For the columns of X,
-    the view X.T, it is filled from tiles of ``GATHER_TILE`` rows of X, so
-    that X is read row by row rather than down its columns."""
-    if points.flags.c_contiguous:
-        return points[mask]
-    X, idx = points.T, np.flatnonzero(mask)
-    out = np.empty((idx.size, X.shape[0]))
-    for r in range(0, X.shape[0], GATHER_TILE):
-        out[:, r:r + GATHER_TILE] = X[r:r + GATHER_TILE, idx].T
-    return out
-
-
 def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):
     """The labels of the start of least within-cluster sum of squares, the
     first one on ties, from the (labels, sums, counts) of ``_starts`` runs."""
@@ -309,7 +296,7 @@ def _best_start(points: np.ndarray, pp: np.ndarray, k: int, runs):
             mask = g == j
             key = mask.tobytes()
             if key not in terms:
-                cluster = _gather(points, mask)
+                cluster = points[mask]
                 cluster -= cluster.mean(axis=0)
                 cluster *= cluster
                 terms[key] = float(cluster.sum())
@@ -420,15 +407,11 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     """The row and column sides of a rebuilt state, and F: ``block_stats``
     gives S and the row lines R, one more matmul the column lines C, and
     ``criterion_value`` F.  ``floors`` are the least row and column class
-    sizes.  R depends on the column labels alone and C on the row labels
-    alone, so a caller may pass the R (C) of a state with the same column
-    (row) labels: the very arrays a rebuild computes."""
+    sizes, which ``labels`` meet.  R depends on the column labels alone and
+    C on the row labels alone, so a caller may pass the R (C) of a state
+    with the same column (row) labels: the very arrays a rebuild computes."""
     stats = block_stats(X, labels, R)
     rcnt, ccnt = stats.row_counts, stats.col_counts
-    if rcnt.min() < floors[0] or ccnt.min() < floors[1]:
-        raise PartitionError(
-            "input labeling violates the minimum class-size constraint"
-        )
     g, h = labels.row_labels, labels.col_labels
     if C is None:
         C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
@@ -589,10 +572,10 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
                                  seed=derived_seed(config.seed, r))
         if r > 0:
             labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2, floors)
-        try:
-            sides, f0 = _sides(X, labels, f, floors)
-        except PartitionError as exc:
-            raise PartitionError(f"restart {r}: {exc}") from exc
+        if labels.row_counts().min() < floors[0] or labels.col_counts().min() < floors[1]:
+            raise PartitionError(f"restart {r}: input labeling violates the minimum "
+                                 "class-size constraint")
+        sides, f0 = _sides(X, labels, f, floors)
         trajectory, moves = [], 0
         for _ in range(config.max_sweeps):
             labels, sides, final, kept = _sweep(X, labels, sides, f0)

@@ -250,7 +250,7 @@ def write_records(records: Iterable[SimRecord], path) -> Iterator[SimRecord]:
 
 
 def read_records(path) -> list[SimRecord]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [
             SimRecord(**{f.name: _parse_value(f.type, row[f.name])
                          for f in fields(SimRecord)})
@@ -303,7 +303,7 @@ def write_summary(summary: list[dict], path) -> None:
 def parse_plan_file(path) -> SimPlan:
     """Read a key = value plan file (see the module docstring for the keys)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+from codecs import BOM_UTF8
 
 import numpy as np
 import pytest
@@ -58,6 +59,30 @@ def test_labels_roundtrip(tmp_path):
     labels = np.array([0, 2, 1, 1, 0])
     matrixio.write_labels_csv(labels, path)
     assert np.array_equal(matrixio.read_labels_csv(path), labels)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("1,2,3\n4,5,6\n7,8,9\n", 3),        # counts: the integer parse
+    ("1.5,-2,3e2\n4,5,6\n7,8,9\n", 3),   # the float parse
+    ("c0,c1,c2\n1,2,3\n4,5,6\n", 2),     # a header row
+])
+def test_byte_order_mark_keeps_every_data_row(tmp_path, text, rows):
+    """A leading byte-order mark, as spreadsheet tools write it on saves as
+    "UTF-8 with BOM", is no header: the file reads as it does without one,
+    bit for bit."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM_UTF8 + text.encode())
+    want = matrixio.read_matrix_csv(plain).values
+    got = matrixio.read_matrix_csv(marked).values
+    assert got.shape == (rows, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_labels_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(BOM_UTF8 + b"0\n2\n1\n")
+    assert matrixio.read_labels_csv(path).tolist() == [0, 2, 1]
 
 
 def test_single_row_matrix(tmp_path):

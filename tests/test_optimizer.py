@@ -217,6 +217,29 @@ class TestFit:
         assert "min_frac 0.4" in str(info.value) and size in str(info.value)
         assert not isinstance(info.value, PartitionError)
 
+    def test_a_start_below_the_floor_names_its_restart(self):
+        """k-means gives an outlier row (x 1e5) a class of its own, below
+        the floor of 4 rows: restart 0, from a legal init, fits, and restart
+        1, from k-means, is refused under its own number."""
+        values = np.random.default_rng(0).standard_normal((40, 40))
+        values[7] *= 1e5
+        X = bc.DataMatrix(values)
+        init = bc.LabelAssignment(np.arange(40) % 4, np.arange(40) % 4, 4, 4)
+        config = dict(K=4, L=4, rate="gaussian", min_frac=0.1)
+        fit(X, FitConfig(**config, restarts=1), init=init)
+        with pytest.raises(PartitionError, match=r"^restart 1: input labeling violates "
+                                                 r"the minimum class-size constraint$"):
+            fit(X, FitConfig(**config, restarts=2), init=init)
+
+    def test_an_init_with_an_empty_class_is_refused_as_restart_0(self):
+        """The floors are checked before F, whose ``criterion_value`` would
+        refuse the empty class in words of its own."""
+        X = bc.DataMatrix(np.random.default_rng(5).standard_normal((6, 6)))
+        init = bc.LabelAssignment(np.zeros(6, dtype=int), np.arange(6) % 2, 2, 2)
+        with pytest.raises(PartitionError, match=r"^restart 0: input labeling violates "
+                                                 r"the minimum class-size constraint$"):
+            fit(X, FitConfig(K=2, L=2, rate="gaussian", restarts=2), init=init)
+
     @pytest.mark.parametrize("at, value, name", [
         ((3, 2), 1e160, "row 3"),
         # every row's squared norm (1e306) is below the limit (2.2e306),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from codecs import BOM_UTF8
 
 import pytest
 
@@ -98,6 +99,10 @@ class TestRunPlan:
         written = list(simharness.write_records(simharness.run_plan(plan), path))
         back = simharness.read_records(path)
         assert [normalized(r) for r in back] == [normalized(r) for r in written]
+        marked = tmp_path / "marked.csv"  # as a spreadsheet saves it, with a BOM
+        marked.write_bytes(BOM_UTF8 + path.read_bytes())
+        assert [normalized(r) for r in simharness.read_records(marked)] == [
+            normalized(r) for r in back]
         for rec in back:  # each column read back as its field's type
             for f in dataclasses.fields(rec):
                 assert type(getattr(rec, f.name)).__name__ == f.type
@@ -175,6 +180,12 @@ class TestPlanFile:
         assert plan.seed == 99  # the last of a repeated key wins
         assert plan.output_path == "out/records"
         assert plan.max_sweeps == 7 and plan.kmeans_iters == 3
+
+    def test_byte_order_mark_is_no_part_of_the_first_key(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(DEMO_PLAN)
+        marked.write_bytes(BOM_UTF8 + DEMO_PLAN.encode())
+        assert simharness.parse_plan_file(marked) == simharness.parse_plan_file(plain)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "plan.cfg"
