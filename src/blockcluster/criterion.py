@@ -50,23 +50,30 @@ class RateFunction:
             self.kind
         ]
 
-    def outside(self, x) -> np.ndarray:
-        """Mask of the values of x that lie outside the domain."""
-        x = np.asarray(x, dtype=np.float64)
+    def check(self, values, name: str) -> np.ndarray:
+        """``values`` as a float64 array; raises DomainError naming ``name``
+        and the first entry, in row-major order, outside the domain.
+
+        Every domain is an interval, so the block means of data inside it
+        stay inside it: ``fit`` checks its data once, on entry, and the rate
+        terms it sums check nothing.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if self.kind == "gaussian":
+            return values
+        bad = values < 0
         if self.kind == "bernoulli":
-            return (x < 0) | (x > 1)
-        if self.kind == "poisson":
-            return x < 0
-        return np.zeros(x.shape, dtype=bool)
+            bad |= values > 1
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            index = f"[{', '.join(map(str, at))}]" if at else ""
+            raise DomainError(f"{name}{index} = {float(values[at])} lies outside the "
+                              f"{self.kind} rate domain {self.domain}")
+        return values
 
     def evaluate(self, mu):
         """f(mu), elementwise; raises DomainError outside the domain."""
-        mu = np.asarray(mu, dtype=np.float64)
-        bad = self.outside(mu)
-        if bad.any():
-            raise DomainError(f"mean {float(mu[bad][0])} outside {self.kind} rate "
-                              f"domain {self.domain}")
-        out = self.unchecked(mu)
+        out = self.unchecked(self.check(mu, "mu"))
         return out if out.ndim else float(out)
 
     def unchecked(self, mu: np.ndarray) -> np.ndarray:
@@ -142,23 +149,6 @@ def block_stats(X: DataMatrix, labels: LabelAssignment,
     )
 
 
-def check_support(X: DataMatrix, f: RateFunction) -> None:
-    """Raise DomainError naming the first entry of X outside f's domain.
-
-    Every block mean is an average of entries and each domain is an
-    interval, so data inside the domain keep every mean a fit computes
-    inside it; fitting checks the data once, here, and the terms below do
-    no check of their own.
-    """
-    bad = f.outside(X.values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(
-            f"entry {X.values[i, j]} at row {i}, column {j} lies outside the "
-            f"{f.kind} rate domain"
-        )
-
-
 def cell_terms(S: np.ndarray, N: np.ndarray, f: RateFunction) -> np.ndarray:
     """N * f(S / N) for every cell of a stack of bicluster sums S, whose
     sizes N broadcast against S.  The one rate-term kernel: it serves F,
@@ -200,7 +190,7 @@ def line_move(pairs: np.ndarray, counts: np.ndarray, other_counts: np.ndarray,
 def move_delta(stats: BlockStats, X: DataMatrix, labels: LabelAssignment,
                axis: str, index: int, new_label: int, f: RateFunction) -> float:
     """F(after) - F(before) for a single-label move, touching only the two
-    affected classes.  No domain check (see ``check_support``)."""
+    affected classes.  No domain check (see ``RateFunction.check``)."""
     from .model import check_int  # model imports this module
 
     check_shape(X, labels)

@@ -219,12 +219,7 @@ class BlockModelSpec:
         if self.family not in DESIGNS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family in RATE_KINDS:
-            f = RateFunction(self.family)
-            bad = np.argwhere(f.outside(M))
-            if bad.size:
-                k, l = bad[0]
-                raise DomainError(f"{f.kind} mean {M[k, l]} for block ({k}, {l}) "
-                                  f"outside {f.domain}")
+            RateFunction(self.family).check(M, "M")
         if self.family in ("gaussian", "student_t"):
             if self.sigma is None or not 0 < check_real(self.sigma, "sigma"):
                 raise ValueError(f"{self.family} family requires a finite sigma > 0")
@@ -301,8 +296,8 @@ def generate(spec: BlockModelSpec, m: int, n: int, seed: int):
     Returns ``(DataMatrix, LabelAssignment)``.  Identical (spec, m, n, seed)
     yield bit-identical output.
     """
-    check_int(m, "m")
-    check_int(n, "n")
+    check_int(m, "m", spec.K)
+    check_int(n, "n", spec.L)
     rng = derived_rng(seed)
     c = draw_labels(rng, spec.K, m, p=spec.p)
     d = draw_labels(rng, spec.L, n, p=spec.q)

@@ -75,7 +75,6 @@ from .criterion import (
     _one_hot,
     block_stats,
     cell_terms,
-    check_support,
     criterion_value,
     line_move,
 )
@@ -561,7 +560,7 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
         raise ValueError(f"init has (K, L) = ({init.K}, {init.L}), but the config "
                          f"has ({config.K}, {config.L})")
     f = RateFunction(config.rate)
-    check_support(X, f)
+    f.check(X.values, "X")
     floors = class_floors(config.min_frac, "min_frac", config.K, config.L, X.m, X.n)
     best: FitResult | None = None
     for r in range(config.restarts):

@@ -142,7 +142,7 @@ class TestFit:
         ])
         assert code == 4
         err = capsys.readouterr().err
-        assert "row 1, column 0" in err and "2.0" in err
+        assert "X[1, 0] = 2.0 lies outside the bernoulli rate domain [0, 1]" in err
 
     @pytest.mark.parametrize("value, k, rate", [(1e200, 1, "gaussian"),
                                                 (1e160, 2, "poisson")])

@@ -66,7 +66,7 @@ class TestRates:
         "kind,mu", [("bernoulli", -0.1), ("bernoulli", 1.1), ("poisson", -1.0)]
     )
     def test_domain_errors(self, kind, mu):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^mu = {mu} lies outside the {kind} rate"):
             rate_function(kind).evaluate(mu)
 
     def test_unknown_kind(self):
@@ -97,6 +97,45 @@ class TestRates:
             a, b = rng.normal(0, 10, 1000), rng.normal(0, 10, 1000)
         mid = f.evaluate(0.5 * (a + b))
         assert np.all(mid <= 0.5 * f.evaluate(a) + 0.5 * f.evaluate(b) + 1e-9)
+
+
+class TestCheck:
+    """``RateFunction.check``, the one rate-domain check: of the data in
+    ``fit``, of the means in ``evaluate`` and of a ``BlockModelSpec``'s M."""
+
+    # 0-d, 1-d and 2-d inputs: the 1-d and 2-d ones hold two entries outside
+    # the domain, and column-major order would meet the second one first
+    @pytest.mark.parametrize("kind, values, named", [
+        ("poisson", -0.5, "v = -0.5"),
+        ("poisson", [0.0, 3.0, -2.0, -1.0], "v[2] = -2.0"),
+        ("poisson", [[0.0, 1.0, -7.0], [-1.0, 2.0, 0.0]], "v[0, 2] = -7.0"),
+        ("bernoulli", 1.5, "v = 1.5"),
+        ("bernoulli", [1.0, -0.25, 2.0], "v[1] = -0.25"),
+        ("bernoulli", [[0.0, 0.5, 3.0], [-1.0, 1.0, 0.0]], "v[0, 2] = 3.0"),
+    ])
+    def test_names_the_first_entry_outside(self, kind, values, named):
+        f = rate_function(kind)
+        for order in "CF":
+            with pytest.raises(DomainError) as info:
+                f.check(np.array(values, order=order), "v")
+            domain = {"poisson": "[0, inf)", "bernoulli": "[0, 1]"}[kind]
+            assert str(info.value) == f"{named} lies outside the {kind} rate domain {domain}"
+        # nothing is outside the gaussian domain
+        out = rate_function("gaussian").check(values, "v")
+        np.testing.assert_array_equal(out, values)
+
+    @pytest.mark.parametrize("kind, values", [
+        ("poisson", 0.0), ("poisson", [0.0, 4.5, -0.0]), ("poisson", [[0, 2], [3, 0]]),
+        ("bernoulli", 1.0), ("bernoulli", [0.0, 1.0, 0.5]), ("bernoulli", [[0, 1], [1, 0]]),
+        ("gaussian", -3), ("gaussian", [-1e300, 0.0, 2.5]), ("gaussian", [[-1, 2], [3, -4]]),
+    ])
+    def test_values_inside_come_back_unchanged_as_float64(self, kind, values):
+        f = rate_function(kind)
+        out = f.check(values, "v")
+        assert out.dtype == np.float64 and out.shape == np.shape(values)
+        np.testing.assert_array_equal(out, values)
+        array = np.asarray(values, dtype=np.float64)
+        assert f.check(array, "v") is array
 
 
 class TestBlockStats:

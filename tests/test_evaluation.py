@@ -6,7 +6,6 @@ import pytest
 import blockcluster as bc
 from blockcluster.criterion import rate_function
 from blockcluster.evaluation import (
-    ConfusionPair,
     TailBoundInput,
     confusion,
     gaussian_tail_bound,

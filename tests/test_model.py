@@ -24,7 +24,8 @@ def test_single_block_degenerate_case():
 
 
 def test_bernoulli_support_violation():
-    with pytest.raises(DomainError, match=r"block \("):
+    with pytest.raises(DomainError, match=r"^M\[0, 0\] = 1\.2 lies outside the "
+                                          r"bernoulli rate domain \[0, 1\]$"):
         bc.BlockModelSpec(
             K=1, L=1, p=np.array([1.0]), q=np.array([1.0]),
             M=np.array([[1.2]]), rho=1.0, family="bernoulli",

@@ -203,7 +203,8 @@ class TestFit:
 
     def test_out_of_domain_data_named_at_entry(self):
         X = bc.DataMatrix(np.array([[0.0, 1.0], [2.0, 0.5]]))
-        with pytest.raises(DomainError, match=r"2\.0 at row 1, column 0"):
+        with pytest.raises(DomainError, match=r"^X\[1, 0\] = 2\.0 lies outside the "
+                                              r"bernoulli rate domain"):
             fit(X, FitConfig(K=2, L=2, rate="bernoulli"))
 
     @pytest.mark.parametrize("K, L, axis, size", [(3, 2, "K", "m = 10"),

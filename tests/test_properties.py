@@ -1071,7 +1071,9 @@ ENTRY_POINTS = {
         "seed": SEEDS, "iters": COUNTS}),
     "generate": (lambda **a: bc.generate(**{"spec": spec(), "m": 6, "n": 4, "seed": 0,
                                             **a}), {
-        "m": COUNTS, "n": COUNTS, "seed": SEEDS}),
+        # spec() has K = L = 2 classes, so one row or column is too few
+        "m": st.one_of(COUNTS, st.just(1)), "n": st.one_of(COUNTS, st.just(1)),
+        "seed": SEEDS}),
     "design_spec": (lambda **a: bc.design_spec(**{"design": "poisson", "b": 5.0, "n": 9,
                                                   **a}), {
         "n": st.one_of(COUNTS, above(2**53), st.just(10**400)),
@@ -1081,6 +1083,12 @@ ENTRY_POINTS = {
         "rho": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS)),
         "sigma": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS)),
         "p": spoiled([0.5, 0.5]), "q": spoiled([0.5, 0.5]), "M": spoiled(np.eye(2))}),
+    "BlockModelSpec(bernoulli)": (lambda **a: spec(**{"family": "bernoulli", **a}), {
+        "M": st.tuples(st.integers(0, 3),
+                       st.one_of(st.floats(max_value=-5e-324),
+                                 st.floats(min_value=1.0, exclude_min=True,
+                                           allow_infinity=False)))
+        .map(lambda at: np.where(np.arange(4).reshape(2, 2) == at[0], at[1], np.eye(2)))}),
     "BlockModelSpec(student_t)": (lambda **a: spec(**{"family": "student_t", "nu": 4.0,
                                                       **a}), {
         "nu": st.one_of(NOT_POSITIVE, st.sampled_from(NOT_REALS))}),
@@ -1144,6 +1152,9 @@ def malformed_calls(draw):
 @example(("DataMatrix", "values", [[10**400, 0.0]]))
 @example(("DataMatrix", "values", np.array([[1.0, math.nan]])))
 @example(("ConfusionPair", "C", [[-3, 0], [-2, 0], [1, 0]]))
+@example(("generate", "m", 1))
+@example(("generate", "n", 1))
+@example(("BlockModelSpec(bernoulli)", "M", [[1.0, 1.5], [0.0, 1.0]]))
 def test_entry_points_reject_malformed_arguments(call):
     """Each raises ValueError (DomainError and PartitionError are ones)
     whose message names the argument: no TypeError or ZeroDivisionError

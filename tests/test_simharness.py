@@ -5,7 +5,9 @@ from codecs import BOM_UTF8
 
 import pytest
 
-from blockcluster import simharness
+from blockcluster import model, simharness
+from blockcluster.criterion import RateFunction
+from blockcluster.errors import DomainError
 
 
 def normalized(rec):
@@ -63,6 +65,22 @@ class TestPlanValidation:
     def test_unknown_design(self):
         with pytest.raises(ValueError, match="unknown design"):
             small_plan(design="weibull")
+
+    @pytest.mark.parametrize("design", model.DESIGNS)
+    @pytest.mark.parametrize("method", [meth for meth, (rate, _) in simharness._METHODS.items()
+                                        if rate is not None])
+    def test_admissible_methods_follow_the_rate_domain(self, design, method):
+        """A PL method is admissible on a design exactly when the design's
+        data lie inside the method's rate domain."""
+        X, _ = model.generate(model.design_spec(design, 10.0, 50), 50, 50, 0)
+        try:
+            RateFunction(simharness._METHODS[method][0]).check(X.values, "X")
+        except DomainError:
+            with pytest.raises(ValueError, match=f"^method {method} is not applicable "
+                                                 f"to the {design} design$"):
+                small_plan(design=design, methods=[method])
+        else:
+            small_plan(design=design, methods=[method])
 
 
 class TestRunPlan:
