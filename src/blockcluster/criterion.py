@@ -103,8 +103,8 @@ class BlockStats:
     """Per-bicluster sums and sizes for a labeled matrix.
 
     N_kl = row_counts[k] * col_counts[l] by construction.  ``R`` (m, L)
-    holds each row's sums against the column classes; S adds them up by
-    row class.
+    holds each row's sums against the column classes (``line_blocks``); S
+    adds them up by row class.
     """
 
     S: np.ndarray
@@ -123,6 +123,49 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+#: the least number of items in a block of the line sums (see ``line_width``)
+LINE_BLOCK = 64
+
+
+def line_width(k: int) -> int:
+    """Items per block of the line sums against k classes: ``LINE_BLOCK``,
+    or 8 k if more, so the (items, k) blocks of an axis hold about an
+    eighth of X (a short last block adds at most one more)."""
+    return max(LINE_BLOCK, 8 * k)
+
+
+def line_blocks(data: np.ndarray, labels: np.ndarray, k: int, prior=None):
+    """(lines, blocks): the sums of each row of ``data`` against the k
+    classes that ``labels`` gives its columns.  Block b is the matmul
+    ``data[:, cols] @ one_hot(labels[cols], k)`` over the b-th run of
+    ``line_width(k)`` columns, and the lines are the blocks added in block
+    order, so they do not depend on how BLAS orders a longer sum.
+
+    ``prior``, the (lines, blocks, labels) of a call on the same data and
+    k, lets a call compute only the blocks that hold a column whose label
+    changed, by the same matmul, and share the others; the same call on
+    the same inputs repeats exactly, so the result is that of a call
+    without ``prior`` bit for bit.  With no label changed it is ``prior``'s
+    own (lines, blocks)."""
+    w = line_width(k)
+    todo = np.arange(0, data.shape[1], w)
+    if prior is None:
+        blocks = [None] * todo.size
+    else:
+        lines, blocks, old = prior
+        todo = todo[np.logical_or.reduceat(labels != old, todo)]
+        if not todo.size:
+            return lines, blocks
+        blocks = list(blocks)
+    onehot = _one_hot(labels, k)
+    for lo in todo.tolist():
+        blocks[lo // w] = data[:, lo:lo + w] @ onehot[lo:lo + w]
+    lines = blocks[0].copy()
+    for block in blocks[1:]:
+        lines += block
+    return lines, tuple(blocks)
+
+
 def check_shape(X: DataMatrix, labels: LabelAssignment) -> None:
     """Raise ValueError unless the labels have X's row and column counts."""
     if labels.m != X.m or labels.n != X.n:
@@ -136,10 +179,11 @@ def block_stats(X: DataMatrix, labels: LabelAssignment,
                 R: np.ndarray | None = None) -> BlockStats:
     """Exact within-bicluster sums and class counts.  ``R``, if given, is
     the (m, L) row lines of X against the column classes of ``labels`` as
-    computed here, and is used in place of computing them again."""
+    ``line_blocks`` computes them here, and is used in place of computing
+    them again."""
     check_shape(X, labels)
     if R is None:
-        R = X.values @ _one_hot(labels.col_labels, labels.L)
+        R, _ = line_blocks(X.values, labels.col_labels, labels.L)
     # per column class, the row lines added class by class in row order,
     # from 0.0: the additions np.add.at would make, in fewer passes
     S = np.stack([np.bincount(labels.row_labels, weights=R[:, l], minlength=labels.K)

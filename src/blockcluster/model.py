@@ -298,6 +298,10 @@ def generate(spec: BlockModelSpec, m: int, n: int, seed: int):
     """
     check_int(m, "m", spec.K)
     check_int(n, "n", spec.L)
+    for name, probs in (("p", spec.p), ("q", spec.q)):
+        zero = np.flatnonzero(np.asarray(probs) == 0)
+        if zero.size:
+            raise ValueError(f"{name}[{zero[0]}] = 0, but every class must draw an item")
     rng = derived_rng(seed)
     c = draw_labels(rng, spec.K, m, p=spec.p)
     d = draw_labels(rng, spec.L, n, p=spec.q)

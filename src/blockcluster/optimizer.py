@@ -21,23 +21,30 @@ criterion.  Moves and convergence compare exactly, with no tolerance to
 scale with F: an item moves only when its scored delta is > 0, and a
 restart stops after a sweep that does not raise F.  One engine serves both
 axes: a column move is a row move on the transpose, so the column side of
-the state holds transposed views of the row side's arrays.  Every float
+the state holds transposed views of the row side's data, S and cell
+terms, and lines of its own.  Every float
 addition of the replay happens in the same order as when the items are
 moved one at a time, so the deltas and labels are those of a sequential
 loop, bit for bit.
 
 The state is read, never written, during a sweep.  It is rebuilt once per
 restart and once for each sweep that keeps moves, from the kept labeling:
-``criterion.block_stats`` plus the column lines, and
-``criterion.criterion_value`` for that labeling's exact F, which cancels
-any drift of the running sum, so ``fit`` computes F nowhere else.  The row
-lines depend on the column labels alone and the column lines on the row
-labels alone, so the rebuild after a sweep that kept only row (column)
-moves takes the row (column) lines over unchanged: the arrays a rebuild
-from scratch computes.  ``fit`` checks the rate domain and computes the
-class-size floors once, on entry, and each restart's start against the
-floors once, where it enters; the legal walk keeps every kept labeling at
-the floors, so a rebuild checks nothing.
+the row and column lines from ``criterion.line_blocks``,
+``criterion.block_stats`` for S, and ``criterion.criterion_value`` for that
+labeling's exact F, which cancels any drift of the running sum, so ``fit``
+computes F nowhere else.  Each side's lines are the sum, in block order, of
+fixed blocks of ``criterion.line_width`` opposite items, each block one
+2-D matmul against its items' one-hot labels.  A rebuild after a sweep
+computes again only the blocks that hold a moved opposite item, by the
+same call, and shares the others; the same call on the same inputs repeats
+exactly, so the state is the one a rebuild from scratch computes, bit for
+bit, and a side whose opposite axis did not move keeps its lines.
+``fit`` checks the rate domain and computes the class-size floors once, on
+entry, and each restart's start against the floors once, where it enters;
+the legal walk keeps every kept labeling at the floors, so a rebuild checks
+nothing.  For the Gaussian rate, data whose mean lies more than 16
+standard deviations from 0 are fitted centred (``_centred``), and F is
+reported for X itself.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
@@ -72,10 +79,11 @@ import numpy as np
 
 from .criterion import (
     RateFunction,
-    _one_hot,
     block_stats,
     cell_terms,
+    check_shape,
     criterion_value,
+    line_blocks,
     line_move,
 )
 from .errors import PartitionError
@@ -246,8 +254,13 @@ def _lockstep(runs: list, points: np.ndarray) -> list:
     one orientation of X, X.T or X: the passes of every run that needs it,
     stacked.  With a row and a column run the columns go half a step behind
     the rows, so a round is [row differences; one-hot columns] @ X.T or
-    [one-hot rows; column differences] @ X.  Rows of a matmul do not see
-    each other, so each start's result is that of a matmul of its own rows."""
+    [one-hot rows; column differences] @ X.  A start's rows of a stacked
+    matmul need not equal, in the last bit, the matmul of its rows alone:
+    BLAS may order the sums by the operand's shape (a 1-row operand takes
+    NumPy's gemv path, and at 500 x 500 even 2 rows of a 6-row stack round
+    otherwise).  What holds is that the same call on the same inputs
+    repeats exactly, so the labels are those of a one-start-at-a-time run
+    except where rounding decides (see the module docstring)."""
     mats, side = (points.T, points), 0
     wants = {run: next(run) for run in runs}
     results = {}
@@ -350,17 +363,19 @@ def kmeans_init(X: DataMatrix, K: int, L: int, seed: int,
 @dataclass(eq=False)
 class _Side:
     """One axis of a sweep's rebuilt state.  The row side moves rows between
-    row classes; the column side is the row side of the transpose and holds
-    transposed views of the same arrays.
+    row classes; the column side is the row side of the transpose: its data,
+    S and cell terms are transposed views of the row side's.
 
-    ``lines[i]`` holds item i's sums against the opposite classes, ``S`` the
-    bicluster sums with this axis's classes first, and ``cells`` the cell
-    terms of ``S``.  A sweep reads the state and never writes it.
+    ``lines[i]`` holds item i's sums against the opposite classes, added
+    up from ``blocks`` (see ``criterion.line_blocks``), ``S`` the bicluster
+    sums with this axis's classes first, and ``cells`` the cell terms of
+    ``S``.  A sweep reads the state and never writes it.
     """
 
     X: np.ndarray
     labels: np.ndarray
     lines: np.ndarray
+    blocks: tuple
     S: np.ndarray
     counts: np.ndarray
     other_counts: np.ndarray
@@ -401,22 +416,28 @@ class _Side:
 
 
 def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
-           floors: tuple[int, int], R: np.ndarray | None = None,
-           C: np.ndarray | None = None):
-    """The row and column sides of a rebuilt state, and F: ``block_stats``
-    gives S and the row lines R, one more matmul the column lines C, and
-    ``criterion_value`` F.  ``floors`` are the least row and column class
-    sizes, which ``labels`` meet.  R depends on the column labels alone and
-    C on the row labels alone, so a caller may pass the R (C) of a state
-    with the same column (row) labels: the very arrays a rebuild computes."""
+           floors: tuple[int, int], prior=None):
+    """The row and column sides of a rebuilt state, and F: ``line_blocks``
+    gives the row lines R (m, L) and the column lines C (n, K),
+    ``block_stats`` S from R, and ``criterion_value`` F.  ``floors`` are
+    the least row and column class sizes, which ``labels`` meet.  Given
+    ``prior``, the sides of a state of the same X, each side computes again
+    only the blocks of its lines that hold an opposite item whose label
+    changed, and a side whose opposite labels are unchanged keeps its
+    lines: the very arrays a rebuild from scratch computes."""
+    g, h = labels.row_labels, labels.col_labels
+    grid = ((X.values, h, labels.L), (X.values.T, g, labels.K))
+    if prior is None:
+        (R, row_blocks), (C, col_blocks) = (line_blocks(*args) for args in grid)
+    else:
+        (R, row_blocks), (C, col_blocks) = (
+            line_blocks(*args, (side.lines, side.blocks, other.labels))
+            for args, side, other in zip(grid, prior, prior[::-1]))
     stats = block_stats(X, labels, R)
     rcnt, ccnt = stats.row_counts, stats.col_counts
-    g, h = labels.row_labels, labels.col_labels
-    if C is None:
-        C = _one_hot(g, labels.K).T @ X.values  # (K, n) column sums by row class
     S, cells = stats.S, cell_terms(stats.S, stats.N, f)
-    rows = _Side(X.values, g, stats.R, S, rcnt, ccnt, cells, floors[0], f)
-    cols = _Side(X.values.T, h, C.T, S.T, ccnt, rcnt, cells.T, floors[1], f)
+    rows = _Side(X.values, g, R, row_blocks, S, rcnt, ccnt, cells, floors[0], f)
+    cols = _Side(X.values.T, h, C, col_blocks, S.T, ccnt, rcnt, cells.T, floors[1], f)
     return (rows, cols), criterion_value(stats, f)
 
 
@@ -506,8 +527,8 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     """One full sweep from ``labels``, whose rebuilt state is ``sides`` with
     criterion ``f0``.  Returns (labels, sides, f1, moves_kept) for the
     labeling returned: its rebuilt state and exact criterion, and the number
-    of moves kept.  The rebuild reuses the row (column) lines when the kept
-    moves are all row (column) moves."""
+    of moves kept.  The rebuild computes again only the blocks of lines that
+    the kept moves touch (``_sides``)."""
     scored = [side.best_moves() for side in sides]
     item, target, delta = (np.concatenate(v) for v in zip(*scored))
     axis = np.repeat([0, 1], [items.size for items, _, _ in scored])
@@ -525,9 +546,7 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
         v[i] = k
     new_labels = LabelAssignment(*new, K=labels.K, L=labels.L)
     rows, cols = sides
-    new_sides, f1 = _sides(X, new_labels, rows.f, (rows.min_count, cols.min_count),
-                           None if moved.any() else rows.lines,
-                           cols.lines.T if moved.all() else None)
+    new_sides, f1 = _sides(X, new_labels, rows.f, (rows.min_count, cols.min_count), sides)
     if f1 < f0:
         return labels, sides, f0, 0
     return new_labels, new_sides, f1, kept
@@ -550,41 +569,67 @@ def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
     return labels
 
 
+def _centred(X: DataMatrix, f: RateFunction) -> DataMatrix:
+    """The data that ``fit`` sweeps: X - mean(X) for the Gaussian rate when
+    |mean(X)| > 16 sd(X), else X.  A shift by a constant adds the same to
+    every labelling's Gaussian F, but a large one makes the cell terms so
+    large that their rounding swamps the gains of single moves.  The test,
+    sum(X^2) < (257 / 256) mn mean^2, takes one sum pass and one sum of
+    squares, with no temporary the size of X; the first row's squares
+    alone refuse most data."""
+    if f.kind != "gaussian":
+        return X
+    v = X.values
+    mean = v.sum() / v.size
+    bound = mean * mean * v.size * (257 / 256)
+    if np.vdot(v[0], v[0]) >= bound or np.einsum("ij,ij->", v, v) >= bound:
+        return X
+    return DataMatrix(v - mean)
+
+
 def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -> FitResult:
     """Maximize the criterion with random restarts; deterministic given config.
 
     ``init`` overrides the restart-0 initialization (used when several rate
-    functions must share one k-means start).
+    functions must share one k-means start).  k-means and the sweeps run on
+    ``_centred(X)``; when that is not X, ``criterion`` and each entry of
+    ``sweep_trajectory`` are still F of X, computed from its labels, and
+    the restarts and convergence compare F of the centred data.
     """
-    if init is not None and (init.K, init.L) != (config.K, config.L):
-        raise ValueError(f"init has (K, L) = ({init.K}, {init.L}), but the config "
-                         f"has ({config.K}, {config.L})")
+    if init is not None:
+        if (init.K, init.L) != (config.K, config.L):
+            raise ValueError(f"init has (K, L) = ({init.K}, {init.L}), but the config "
+                             f"has ({config.K}, {config.L})")
+        check_shape(X, init)
     f = RateFunction(config.rate)
     f.check(X.values, "X")
     floors = class_floors(config.min_frac, "min_frac", config.K, config.L, X.m, X.n)
+    data = _centred(X, f)
     best: FitResult | None = None
     for r in range(config.restarts):
         if r == 0 and init is not None:
             labels = init
         else:
-            labels = kmeans_init(X, config.K, config.L, iters=config.kmeans_iters,
+            labels = kmeans_init(data, config.K, config.L, iters=config.kmeans_iters,
                                  seed=derived_seed(config.seed, r))
         if r > 0:
             labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2, floors)
         if labels.row_counts().min() < floors[0] or labels.col_counts().min() < floors[1]:
             raise PartitionError(f"restart {r}: input labeling violates the minimum "
                                  "class-size constraint")
-        sides, f0 = _sides(X, labels, f, floors)
-        trajectory, moves = [], 0
+        sides, f0 = _sides(data, labels, f, floors)
+        trajectory, moves, value = [], 0, None
         for _ in range(config.max_sweeps):
-            labels, sides, final, kept = _sweep(X, labels, sides, f0)
+            labels, sides, final, kept = _sweep(data, labels, sides, f0)
             moves += kept
-            trajectory.append(final)
+            if data is not X and (kept or value is None):
+                value = criterion_value(block_stats(X, labels), f)
+            trajectory.append(final if data is X else value)
             if converged := final <= f0:
                 break
             f0 = final
-        result = FitResult(labels, final, trajectory, restart_index=r,
-                           converged=converged, moves_applied=moves)
-        if best is None or result.criterion > best.criterion:
-            best = result
+        if best is None or final > best_final:
+            best_final = final
+            best = FitResult(labels, trajectory[-1], trajectory, restart_index=r,
+                             converged=converged, moves_applied=moves)
     return best

@@ -337,6 +337,47 @@ class TestFit:
         assert np.mean(rates[1e6]) == pytest.approx(np.mean(rates[0.0]), abs=1e-3)
         assert np.mean(rates[0.0]) < 0.01
 
+    def test_a_large_offset_is_fitted_centred(self):
+        """At X + 1e8 the cell terms reach about 1e20 and, swept as they
+        are, misclassify half the items of the design above.  ``fit``
+        sweeps X + 1e8 less its mean instead, and gives the misclassification
+        of X, while ``criterion`` and the trajectory stay F of X + 1e8 at
+        the labels fitted."""
+        config = FitConfig(K=2, L=3, rate="gaussian")
+        spec = bc.design_spec("gaussian", b=1.0, n=200)
+        f = rate_function("gaussian")
+        rates = {0.0: [], 1e8: []}
+        for seed in range(10):
+            X, truth = bc.generate(spec, 200, 200, seed)
+            rng = np.random.default_rng(1000 + seed)
+            init = bc.LabelAssignment(draw_labels(rng, 2, 200), draw_labels(rng, 3, 200),
+                                      2, 3)
+            Y = bc.DataMatrix(X.values + 1e8)
+            for shift, data in ((0.0, X), (1e8, Y)):
+                result = fit(data, config, init=init)
+                rates[shift].append(bc.misclassification(truth, result.labels)[2])
+            assert result.criterion == criterion_value(block_stats(Y, result.labels), f)
+            assert result.sweep_trajectory[-1] == result.criterion
+            assert all(value > 0.5e20 for value in result.sweep_trajectory)
+        assert np.mean(rates[1e8]) == pytest.approx(np.mean(rates[0.0]), abs=1e-3)
+
+    def test_centring_takes_only_a_large_gaussian_offset(self):
+        """Data are centred exactly when |mean| > 16 sd, and only for the
+        Gaussian rate; the centred matrix has mean 0 to rounding."""
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal((30, 20))
+        noise -= noise.mean()
+        noise /= noise.std()
+        gauss, poisson = rate_function("gaussian"), rate_function("poisson")
+        for mean, centred in ((15.9, False), (16.1, True), (-16.1, True), (0.0, False)):
+            X = bc.DataMatrix(noise + mean)
+            got = optimizer._centred(X, gauss)
+            assert (got is not X) == centred
+            if centred:
+                assert abs(got.values.mean()) < 1e-12 * abs(mean)
+        X = bc.DataMatrix(noise * 0.01 + 5.0)
+        assert optimizer._centred(X, poisson) is X
+
     def test_one_block_stats_per_rebuild_and_one_rebuild_per_kept_sweep(
             self, monkeypatch):
         """The state is rebuilt once per restart and once per sweep that

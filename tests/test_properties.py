@@ -28,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
-from blockcluster import cli, evaluation, matrixio, optimizer, simharness  # noqa: E402
+from blockcluster import cli, criterion, evaluation, matrixio, optimizer, simharness  # noqa: E402
 from blockcluster.errors import DomainError  # noqa: E402
 from blockcluster.model import class_floor, derived_rng, draw_labels  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
@@ -430,6 +430,116 @@ def test_kept_sweep_state_equals_a_fresh_rebuild(problem):
     for axis in (0, 1):
         assert np.shares_memory(new_sides[axis].lines, sides[axis].lines) == (
             not moved[1 - axis])
+
+
+@contextlib.contextmanager
+def narrow_blocks(width):
+    """Line sums in blocks of ``width`` items, not ``criterion.line_width``'s
+    at least ``LINE_BLOCK``, so that the small problems here span several
+    blocks and a sweep's moves touch some of them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criterion, "line_width", lambda k: width)
+        yield
+
+
+@pytest.mark.ci_profile
+@given(replay_problems(), st.integers(1, 5))
+def test_kept_sweep_state_in_narrow_blocks(problem, width):
+    """The fresh-rebuild property with blocks of 1 to 5 items: a rebuild
+    that computes again only the blocks its moves touched equals a rebuild
+    from scratch bit for bit."""
+    with narrow_blocks(width):
+        test_kept_sweep_state_equals_a_fresh_rebuild.hypothesis.inner_test(problem)
+        X, labels, f, min_frac = problem
+        sides, f0 = optimizer._sides(X, labels, f, floors(X, min_frac))
+        _, new_sides, _, kept = optimizer._sweep(X, labels, sides, f0)
+    if kept:
+        shared = [sum(a is b for a, b in zip(new.blocks, old.blocks)) / len(old.blocks)
+                  for new, old in zip(new_sides, sides)]
+        event("a side shares some blocks and computes others again"
+              if any(0 < part < 1 for part in shared) else "no side splits its blocks")
+
+
+@pytest.mark.ci_profile
+@given(replay_problems(), st.integers(1, 5))
+def test_replay_in_narrow_blocks(problem, width):
+    """The replay oracle with blocks of 1 to 5 items."""
+    with narrow_blocks(width):
+        check_replay_matches_sequential(*problem)
+
+
+@pytest.mark.ci_profile
+@given(fit_problems(), st.integers(1, 8))
+def test_converged_fit_in_narrow_blocks_is_locally_optimal(problem, width):
+    """The local-optimality property with blocks of 1 to 8 items, over the
+    whole fit's rebuilds."""
+    with narrow_blocks(width):
+        test_converged_fit_is_locally_optimal.hypothesis.inner_test(problem)
+
+
+@st.composite
+def line_problems(draw):
+    """(data, labels, k, width, transposed): the data of one side, a (items,
+    opposite) matrix or the transposed view the column side sums, labels of
+    its opposite items in k classes, and a block width of 1 to one more than
+    the opposite count."""
+    kind = draw(st.sampled_from(["gaussian", "poisson", "bernoulli"]))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    values, rng = draw_values(draw, kind, m, n)
+    transposed = draw(st.booleans())
+    data = values.T if transposed else values
+    k = draw(st.integers(1, 5))
+    labels = rng.integers(k, size=data.shape[1])
+    return data, labels, k, draw(st.integers(1, data.shape[1] + 1)), transposed
+
+
+@pytest.mark.ci_profile
+@given(line_problems(), st.data())
+def test_updated_line_blocks_equal_a_fresh_build(problem, data):
+    """After random relabelling of some opposite items, ``line_blocks``
+    given the prior call computes again just the blocks that hold one and
+    shares the rest, and its lines and blocks equal a call from scratch
+    byte for byte; with nothing relabelled it returns the prior arrays."""
+    X, labels, k, width, transposed = problem
+    moved = data.draw(st.lists(st.integers(0, labels.size - 1), max_size=labels.size))
+    new = labels.copy()
+    new[moved] = data.draw(st.lists(st.integers(0, k - 1), min_size=len(moved),
+                                    max_size=len(moved)))
+    event(f"short last block: {labels.size % width != 0}, transposed: {transposed}")
+    with narrow_blocks(width):
+        lines, blocks = criterion.line_blocks(X, labels, k)
+        got = criterion.line_blocks(X, new, k, (lines, blocks, labels))
+        want = criterion.line_blocks(X, new, k)
+    changed = np.flatnonzero(new != labels) // width
+    if not changed.size:
+        assert got[0] is lines and got[1] is blocks
+    for b, (old, block, fresh) in enumerate(zip(blocks, got[1], want[1])):
+        assert (block is old) == (b not in changed)
+        assert block.tobytes() == fresh.tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert want[0].shape == (X.shape[0], k) and len(want[1]) == -(-labels.size // width)
+
+
+@pytest.mark.ci_profile
+@given(st.integers(1, 40), st.integers(1, 300), st.integers(1, 8), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+def test_blocked_lines_of_integer_data_equal_one_matmul(m, n, L, width, seed):
+    """On integer-valued X every partial sum is exact, so the blocked row
+    lines equal ``X @ one_hot(h)`` and the column lines ``(one_hot(g).T @
+    X).T`` bit for bit, at any block width: why count data keep their
+    labels and F under the blocked sums."""
+    rng = np.random.default_rng(seed)
+    X = bc.DataMatrix(rng.integers(-50, 50, size=(m, n)).astype(float))
+    K, L = min(L, m), min(L, n)
+    labels = bc.LabelAssignment(rng.integers(K, size=m), rng.integers(L, size=n), K, L)
+    onehot = [criterion._one_hot(v, k) for v, k in ((labels.row_labels, K),
+                                                    (labels.col_labels, L))]
+    for blocks in (narrow_blocks(width), contextlib.nullcontext()):
+        with blocks:
+            R = block_stats(X, labels).R
+            C, _ = criterion.line_blocks(X.values.T, labels.row_labels, K)
+        assert R.tobytes() == (X.values @ onehot[1]).tobytes()
+        assert C.tobytes() == np.ascontiguousarray((onehot[0].T @ X.values).T).tobytes()
 
 
 #: row and column moves, as (axis, item, target); each ordering below puts
@@ -1074,6 +1184,10 @@ ENTRY_POINTS = {
         # spec() has K = L = 2 classes, so one row or column is too few
         "m": st.one_of(COUNTS, st.just(1)), "n": st.one_of(COUNTS, st.just(1)),
         "seed": SEEDS}),
+    # a class of probability 0 never draws an item
+    "generate(spec)": (lambda **a: bc.generate(spec(**a), 6, 4, 0), {
+        "p": st.sampled_from([[1.0, 0.0], [0.0, 1.0]]),
+        "q": st.sampled_from([[1.0, 0.0], [0.0, 1.0]])}),
     "design_spec": (lambda **a: bc.design_spec(**{"design": "poisson", "b": 5.0, "n": 9,
                                                   **a}), {
         "n": st.one_of(COUNTS, above(2**53), st.just(10**400)),
@@ -1154,6 +1268,7 @@ def malformed_calls(draw):
 @example(("ConfusionPair", "C", [[-3, 0], [-2, 0], [1, 0]]))
 @example(("generate", "m", 1))
 @example(("generate", "n", 1))
+@example(("generate(spec)", "q", [0.0, 1.0]))
 @example(("BlockModelSpec(bernoulli)", "M", [[1.0, 1.5], [0.0, 1.0]]))
 def test_entry_points_reject_malformed_arguments(call):
     """Each raises ValueError (DomainError and PartitionError are ones)
