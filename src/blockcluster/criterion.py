@@ -102,15 +102,13 @@ rate_function = RateFunction
 class BlockStats:
     """Per-bicluster sums and sizes for a labeled matrix.
 
-    N_kl = row_counts[k] * col_counts[l] by construction.  ``R`` (m, L)
-    holds each row's sums against the column classes (``line_blocks``); S
-    adds them up by row class.
+    N_kl = row_counts[k] * col_counts[l] by construction.  S adds up the
+    row lines (``line_blocks``) by row class.
     """
 
     S: np.ndarray
     row_counts: np.ndarray
     col_counts: np.ndarray
-    R: np.ndarray
 
     @property
     def N(self) -> np.ndarray:
@@ -188,9 +186,7 @@ def block_stats(X: DataMatrix, labels: LabelAssignment,
     # from 0.0: the additions np.add.at would make, in fewer passes
     S = np.stack([np.bincount(labels.row_labels, weights=R[:, l], minlength=labels.K)
                   for l in range(labels.L)], axis=1)
-    return BlockStats(
-        S=S, row_counts=labels.row_counts(), col_counts=labels.col_counts(), R=R
-    )
+    return BlockStats(S=S, row_counts=labels.row_counts(), col_counts=labels.col_counts())
 
 
 def cell_terms(S: np.ndarray, N: np.ndarray, f: RateFunction) -> np.ndarray:

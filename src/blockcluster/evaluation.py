@@ -45,12 +45,9 @@ class ConfusionPair:
                 raise ValueError(f"{key} must hold only nonnegative entries")
             object.__setattr__(self, key, v)
 
-    def rows_near_diagonal(self, delta: float) -> bool:
-        """True if C lies in the delta-neighborhood of permuted diagonals."""
-        return _max_offdiag_product(self.C) < delta
-
     def in_neighborhood(self, delta: float) -> bool:
-        return self.rows_near_diagonal(delta) and _max_offdiag_product(self.D) < delta
+        """True if C and D lie in the delta-neighborhood of permuted diagonals."""
+        return max(_max_offdiag_product(self.C), _max_offdiag_product(self.D)) < delta
 
 
 def _contingency(truth: LabelAssignment, estimate: LabelAssignment):

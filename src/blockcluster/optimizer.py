@@ -40,11 +40,11 @@ same call, and shares the others; the same call on the same inputs repeats
 exactly, so the state is the one a rebuild from scratch computes, bit for
 bit, and a side whose opposite axis did not move keeps its lines.
 ``fit`` checks the rate domain and computes the class-size floors once, on
-entry, and each restart's start against the floors once, where it enters;
-the legal walk keeps every kept labeling at the floors, so a rebuild checks
-nothing.  For the Gaussian rate, data whose mean lies more than 16
-standard deviations from 0 are fitted centred (``_centred``), and F is
-reported for X itself.
+entry, and makes every restart's start and checks it against the floors
+before the first sweep (``_restart_starts``); the legal walk keeps every
+kept labeling at the floors, so a rebuild checks nothing.  For the
+Gaussian rate, data whose mean lies more than 16 standard deviations from
+0 are fitted centred (``_centred``), and F is reported for X itself.
 
 The initialization is k-means++ (Arthur & Vassilvitskii 2007), best of ten
 Lloyd runs, on the rows and on the columns (a transposed view of the data,
@@ -427,12 +427,10 @@ def _sides(X: DataMatrix, labels: LabelAssignment, f: RateFunction,
     lines: the very arrays a rebuild from scratch computes."""
     g, h = labels.row_labels, labels.col_labels
     grid = ((X.values, h, labels.L), (X.values.T, g, labels.K))
-    if prior is None:
-        (R, row_blocks), (C, col_blocks) = (line_blocks(*args) for args in grid)
-    else:
-        (R, row_blocks), (C, col_blocks) = (
-            line_blocks(*args, (side.lines, side.blocks, other.labels))
-            for args, side, other in zip(grid, prior, prior[::-1]))
+    before = prior or (None, None)
+    (R, row_blocks), (C, col_blocks) = (
+        line_blocks(*args, side and (side.lines, side.blocks, other.labels))
+        for args, side, other in zip(grid, before, before[::-1]))
     stats = block_stats(X, labels, R)
     rcnt, ccnt = stats.row_counts, stats.col_counts
     S, cells = stats.S, cell_terms(stats.S, stats.N, f)
@@ -552,23 +550,6 @@ def _sweep(X: DataMatrix, labels: LabelAssignment, sides, f0: float):
     return new_labels, new_sides, f1, kept
 
 
-def _perturb(labels: LabelAssignment, rng: np.random.Generator, frac: float,
-             floors: tuple[int, int]) -> LabelAssignment:
-    """Randomly relabel a fraction of items, keeping classes at ``floors``;
-    after 20 draws that all miss them, the labels as they are (logged)."""
-    classes = labels.K, labels.L
-    for _ in range(20):
-        new = [labels.row_labels.copy(), labels.col_labels.copy()]
-        for v, k in zip(new, classes):
-            size = max(1, int(frac * v.size))
-            v[rng.choice(v.size, size=size, replace=False)] = rng.integers(k, size=size)
-        if all(np.bincount(v, minlength=k).min() >= floor
-               for v, k, floor in zip(new, classes, floors)):
-            return LabelAssignment(*new, K=labels.K, L=labels.L)
-    log.debug("no perturbation in 20 draws met the class floors; start unperturbed")
-    return labels
-
-
 def _centred(X: DataMatrix, f: RateFunction) -> DataMatrix:
     """The data that ``fit`` sweeps: X - mean(X) for the Gaussian rate when
     |mean(X)| > 16 sd(X), else X.  A shift by a constant adds the same to
@@ -587,11 +568,46 @@ def _centred(X: DataMatrix, f: RateFunction) -> DataMatrix:
     return DataMatrix(v - mean)
 
 
+def _restart_starts(data: DataMatrix, config: FitConfig, init: LabelAssignment | None,
+                    floors: tuple[int, int]) -> list:
+    """Every restart's start, made and checked before the first sweep, as
+    (labels, how): restart 0 starts from ``init`` ("init") or k-means
+    ("kmeans"); restart r > 0 from its k-means start with a fifth of each
+    axis relabelled at random ("perturbed"), the first of 20 draws that
+    keeps the classes at ``floors``, or unperturbed if all 20 miss
+    ("perturb_failed").  A start below the floors raises PartitionError."""
+    starts, classes = [], (config.K, config.L)
+    for r in range(config.restarts):
+        labels, how = init, "init"
+        if r or init is None:
+            labels = kmeans_init(data, *classes, iters=config.kmeans_iters,
+                                 seed=derived_seed(config.seed, r))
+            how = "perturb_failed" if r else "kmeans"  # unless a draw below meets the floors
+        rng = derived_rng(config.seed, r, 1) if r else None
+        for _ in range(20 if r else 0):
+            new = [labels.row_labels.copy(), labels.col_labels.copy()]
+            for v, k in zip(new, classes):
+                size = max(1, int(0.2 * v.size))
+                v[rng.choice(v.size, size=size, replace=False)] = rng.integers(k, size=size)
+            if all(np.bincount(v, minlength=k).min() >= floor
+                   for v, k, floor in zip(new, classes, floors)):
+                labels, how = LabelAssignment(*new, K=config.K, L=config.L), "perturbed"
+                break
+        if labels.row_counts().min() < floors[0] or labels.col_counts().min() < floors[1]:
+            raise PartitionError(f"restart {r}: input labeling violates the minimum "
+                                 "class-size constraint")
+        log.debug("restart %d: start %s", r, how)
+        starts.append((labels, how))
+    return starts
+
+
 def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -> FitResult:
     """Maximize the criterion with random restarts; deterministic given config.
 
     ``init`` overrides the restart-0 initialization (used when several rate
-    functions must share one k-means start).  k-means and the sweeps run on
+    functions must share one k-means start).  Every restart's start is made
+    and checked against the floors before restart 0 sweeps, and named in a
+    DEBUG log line (``_restart_starts``).  k-means and the sweeps run on
     ``_centred(X)``; when that is not X, ``criterion`` and each entry of
     ``sweep_trajectory`` are still F of X, computed from its labels, and
     the restarts and convergence compare F of the centred data.
@@ -606,17 +622,7 @@ def fit(X: DataMatrix, config: FitConfig, init: LabelAssignment | None = None) -
     floors = class_floors(config.min_frac, "min_frac", config.K, config.L, X.m, X.n)
     data = _centred(X, f)
     best: FitResult | None = None
-    for r in range(config.restarts):
-        if r == 0 and init is not None:
-            labels = init
-        else:
-            labels = kmeans_init(data, config.K, config.L, iters=config.kmeans_iters,
-                                 seed=derived_seed(config.seed, r))
-        if r > 0:
-            labels = _perturb(labels, derived_rng(config.seed, r, 1), 0.2, floors)
-        if labels.row_counts().min() < floors[0] or labels.col_counts().min() < floors[1]:
-            raise PartitionError(f"restart {r}: input labeling violates the minimum "
-                                 "class-size constraint")
+    for r, (labels, _) in enumerate(_restart_starts(data, config, init, floors)):
         sides, f0 = _sides(data, labels, f, floors)
         trajectory, moves, value = [], 0, None
         for _ in range(config.max_sweeps):

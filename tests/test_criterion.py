@@ -7,6 +7,7 @@ import blockcluster as bc
 from blockcluster.criterion import (
     block_stats,
     criterion_value,
+    line_blocks,
     move_delta,
     rate_function,
 )
@@ -162,7 +163,7 @@ class TestBlockStats:
         assert np.array_equal(stats.N, N)
         R = [[X.values[i, labels.col_labels == l].sum() for l in range(3)]
              for i in range(6)]
-        assert np.allclose(stats.R, R)
+        assert np.allclose(line_blocks(X.values, labels.col_labels, 3)[0], R)
 
     def test_dimension_mismatch(self):
         X = bc.DataMatrix(np.zeros((3, 4)))

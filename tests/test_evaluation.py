@@ -33,20 +33,23 @@ class TestConfusion:
         e = labels([1, 1, 0, 0], [0, 0, 1, 1], 2, 2)
         pair = confusion(t, e)
         assert np.allclose(pair.C, np.array([[0.0, 0.5], [0.5, 0.0]]))
-        # a permuted diagonal still has zero off-diagonal products
-        assert pair.rows_near_diagonal(1e-6)
+        # a permuted diagonal still has zero off-diagonal products; D is
+        # diagonal, so the pair tests C alone
+        assert pair.in_neighborhood(1e-6)
 
     def test_hand_counted_entries(self):
         t = labels([0, 0, 1, 1, 1], [0, 1], 2, 2)
         e = labels([0, 1, 1, 1, 0], [0, 1], 2, 2)
         pair = confusion(t, e)
         assert np.allclose(pair.C, np.array([[0.2, 0.2], [0.2, 0.4]]))
-        # worst off-diagonal product: max over columns of C[0,k]*C[1,k] = 0.08
-        assert not pair.rows_near_diagonal(0.05)
-        assert pair.rows_near_diagonal(0.1)
+        # worst off-diagonal product: max over columns of C[0,k]*C[1,k] = 0.08;
+        # D is diagonal, so the pair tests C alone
+        assert not pair.in_neighborhood(0.05)
+        assert pair.in_neighborhood(0.1)
         # the column confusion alone can leave the neighbourhood
         cols = bc.ConfusionPair(C=pair.D / 2, D=pair.C)
-        assert cols.rows_near_diagonal(0.05) and not cols.in_neighborhood(0.05)
+        assert bc.ConfusionPair(C=cols.C, D=pair.D).in_neighborhood(0.05)
+        assert not cols.in_neighborhood(0.05)
         assert cols.in_neighborhood(0.1)
 
     def test_dimension_mismatch(self):

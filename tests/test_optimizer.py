@@ -8,7 +8,7 @@ import blockcluster as bc
 from blockcluster import optimizer
 from blockcluster.criterion import block_stats, criterion_value, rate_function
 from blockcluster.errors import DomainError, PartitionError
-from blockcluster.model import draw_labels
+from blockcluster.model import class_floors, derived_seed, draw_labels
 from blockcluster.optimizer import FitConfig, fit, kmeans_init
 
 
@@ -16,6 +16,11 @@ def planted_matrix(means, g, h, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     mu = np.asarray(means)[np.asarray(g)][:, np.asarray(h)]
     return bc.DataMatrix(mu + noise * rng.standard_normal(mu.shape))
+
+
+def same_labels(a, b):
+    return np.array_equal(a.row_labels, b.row_labels) and np.array_equal(a.col_labels,
+                                                                         b.col_labels)
 
 
 class TestKmeansInit:
@@ -218,19 +223,24 @@ class TestFit:
         assert "min_frac 0.4" in str(info.value) and size in str(info.value)
         assert not isinstance(info.value, PartitionError)
 
-    def test_a_start_below_the_floor_names_its_restart(self):
+    def test_a_start_below_the_floor_names_its_restart(self, monkeypatch):
         """k-means gives an outlier row (x 1e5) a class of its own, below
-        the floor of 4 rows: restart 0, from a legal init, fits, and restart
-        1, from k-means, is refused under its own number."""
+        the floor of 4 rows: restart 0, from a legal init, fits on its own,
+        and restart 1, from k-means, is refused under its own number before
+        restart 0 sweeps."""
         values = np.random.default_rng(0).standard_normal((40, 40))
         values[7] *= 1e5
         X = bc.DataMatrix(values)
         init = bc.LabelAssignment(np.arange(40) % 4, np.arange(40) % 4, 4, 4)
         config = dict(K=4, L=4, rate="gaussian", min_frac=0.1)
         fit(X, FitConfig(**config, restarts=1), init=init)
+        swept = []
+        sweep = optimizer._sweep
+        monkeypatch.setattr(optimizer, "_sweep", lambda *args: swept.append(args) or sweep(*args))
         with pytest.raises(PartitionError, match=r"^restart 1: input labeling violates "
                                                  r"the minimum class-size constraint$"):
             fit(X, FitConfig(**config, restarts=2), init=init)
+        assert swept == []
 
     def test_an_init_with_an_empty_class_is_refused_as_restart_0(self):
         """The floors are checked before F, whose ``criterion_value`` would
@@ -420,7 +430,29 @@ class TestFit:
         with caplog.at_level(logging.DEBUG, logger="blockcluster.optimizer"):
             result = fit(X, config)
         assert result.labels.row_counts().tolist() == [10] * 4
-        assert any("class floors" in m for m in caplog.messages)
+        assert "restart 1: start perturb_failed" in caplog.messages
+
+    @pytest.mark.parametrize("min_frac, given, named", [
+        (0.0, True, ["init", "perturbed"]),
+        (0.25, False, ["kmeans", "perturb_failed"]),
+    ])
+    def test_each_start_is_named_by_how_it_was_made(self, min_frac, given, named):
+        """Restart 0 starts from ``init`` or from k-means; restart 1 from
+        its k-means start perturbed, or, on the design above, where every
+        class sits at its floor of 10, from that k-means start as it is."""
+        g, h = np.arange(40) % 4, np.arange(40) // 10
+        X = planted_matrix(np.arange(16.0).reshape(4, 4) ** 1.5, g, h, noise=0.01)
+        init = bc.LabelAssignment(g, h, 4, 4) if given else None
+        config = FitConfig(K=4, L=4, rate="gaussian", restarts=2, min_frac=min_frac)
+        floors = class_floors(min_frac, "min_frac", 4, 4, 40, 40)
+        starts = optimizer._restart_starts(X, config, init, floors)
+        assert [how for _, how in starts] == named
+        if given:
+            assert starts[0][0] is init
+        else:
+            assert same_labels(starts[0][0], kmeans_init(X, 4, 4, seed=derived_seed(0, 0)))
+        restart_1 = kmeans_init(X, 4, 4, seed=derived_seed(0, 1))
+        assert same_labels(starts[1][0], restart_1) == (named[1] == "perturb_failed")
 
     def test_init_of_wrong_shape_rejected(self):
         X = bc.DataMatrix(np.zeros((4, 5)))

@@ -9,6 +9,7 @@ the properties marked ``ci_profile`` again under the ``ci`` profile.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
@@ -29,7 +30,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import blockcluster as bc  # noqa: E402
 from blockcluster import cli, criterion, evaluation, matrixio, optimizer, simharness  # noqa: E402
-from blockcluster.errors import DomainError  # noqa: E402
+from blockcluster.errors import DomainError, PartitionError  # noqa: E402
 from blockcluster.model import class_floor, derived_rng, draw_labels  # noqa: E402
 from blockcluster.criterion import (  # noqa: E402
     block_stats,
@@ -223,6 +224,38 @@ def test_converged_fit_is_locally_optimal(problem):
                     assert move_delta(stats, X, labels, axis, i, k, f) <= tol
 
 
+@given(fit_problems(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_restarts_are_the_best_of_one_restart_fits_from_their_starts(problem, restarts,
+                                                                     seed):
+    """``fit`` with R restarts gives, in labels, criterion, trajectory and
+    ``restart_index``, the best of R one-restart fits run from the starts of
+    ``_restart_starts`` as ``init``, the first restart on ties: each start
+    is made before any sweep, and a sweep depends on its start alone.  The
+    data drawn here are never centred, so F of X ranks the restarts.  A
+    start below the floors refuses the whole fit, under the same message."""
+    X, init, f, min_frac = problem
+    assert optimizer._centred(X, f) is X
+    config = optimizer.FitConfig(K=init.K, L=init.L, rate=f.kind, restarts=restarts,
+                                 min_frac=min_frac, seed=seed)
+    try:
+        starts = optimizer._restart_starts(X, config, None, floors(X, min_frac))
+    except PartitionError as refusal:
+        event("a start below the floors")
+        with pytest.raises(PartitionError, match=f"^{re.escape(str(refusal))}$"):
+            optimizer.fit(X, config)
+        return
+    one = dataclasses.replace(config, restarts=1)
+    fits = [optimizer.fit(X, one, init=labels) for labels, _ in starts]
+    best = int(np.argmax([one_fit.criterion for one_fit in fits]))
+    event(f"restart {best} of {restarts} is best")
+    result = optimizer.fit(X, config)
+    assert result.restart_index == best
+    assert np.array_equal(result.labels.row_labels, fits[best].labels.row_labels)
+    assert np.array_equal(result.labels.col_labels, fits[best].labels.col_labels)
+    assert result.criterion == fits[best].criterion
+    assert result.sweep_trajectory == fits[best].sweep_trajectory
+
+
 @pytest.mark.ci_profile
 @given(fit_problems(kinds=["gaussian"]), st.integers(-60, 60))
 def test_gaussian_fits_do_not_depend_on_a_power_of_two_scale(problem, k):
@@ -276,7 +309,7 @@ def test_block_sums_add_as_add_at_does(kind, m, n, K, L, data):
     X = bc.DataMatrix(values)
     stats = block_stats(X, labels)
     S = np.zeros((K, L))
-    np.add.at(S, labels.row_labels, stats.R)
+    np.add.at(S, labels.row_labels, criterion.line_blocks(X.values, labels.col_labels, L)[0])
     assert stats.S.tobytes() == S.tobytes()
 
 
@@ -536,7 +569,7 @@ def test_blocked_lines_of_integer_data_equal_one_matmul(m, n, L, width, seed):
                                                     (labels.col_labels, L))]
     for blocks in (narrow_blocks(width), contextlib.nullcontext()):
         with blocks:
-            R = block_stats(X, labels).R
+            R, _ = criterion.line_blocks(X.values, labels.col_labels, L)
             C, _ = criterion.line_blocks(X.values.T, labels.row_labels, K)
         assert R.tobytes() == (X.values @ onehot[1]).tobytes()
         assert C.tobytes() == np.ascontiguousarray((onehot[0].T @ X.values).T).tobytes()
